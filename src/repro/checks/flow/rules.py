@@ -133,8 +133,6 @@ FLOW_RULE_IDS: FrozenSet[str] = frozenset(FLOW_RULES)
 HOT_ROOTS: FrozenSet[str] = frozenset({
     "repro.sim.engine.Engine.run",
     "repro.sim.engine.Engine.step",
-    "repro.sim.batched.engine.EpochEngine.run",
-    "repro.sim.batched.engine.EpochEngine.step",
 })
 
 #: Packages whose functions participate in hot-path reachability — the

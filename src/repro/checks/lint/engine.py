@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .rules import (ALL_RULE_IDS, ENGINE_MODULES, HOT_PATH_MANIFEST, RULES,
-                    TRACE_CACHE_EXEMPT_MODULES, TRACE_GENERATOR_NAMES, Rule,
-                    lookup_rule)
+from .rules import (ALL_RULE_IDS, ENGINE_MODULES, HOT_ENUM_CLASSES,
+                    HOT_PATH_MANIFEST, RULES, TRACE_CACHE_EXEMPT_MODULES,
+                    TRACE_GENERATOR_NAMES, Rule, lookup_rule)
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simsan:\s*(?P<skipfile>skip-file\b)?(?:skip=(?P<ids>[A-Za-z0-9, ]+))?"
@@ -464,6 +464,16 @@ class _Linter(ast.NodeVisitor):
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if self.at_import_time and self._is_environ(node.value):
             self.report("SS104", node, "os.environ[...] read at import time")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # SS205 — enum member lookups in hot functions -----------------
+        if (self.in_hot_function and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in HOT_ENUM_CLASSES):
+            self.report("SS205", node,
+                        f"{node.value.id}.{node.attr} is an enum-metaclass "
+                        "lookup on every call; read a module constant")
         self.generic_visit(node)
 
     def _is_environ(self, node: ast.AST) -> bool:

@@ -123,6 +123,16 @@ _RULES = [
              "sites must carry a suppression explaining the measurement",
         scope="deterministic",
     ),
+    Rule(
+        id="SS205",
+        name="hot-enum-member",
+        summary="enum member read through its class in a hot-path function",
+        hint="an enum class-attribute read (AccessType.RFO) goes through "
+             "the enum metaclass and costs about ten module-global reads; "
+             "bind the member once at module level (_RFO = AccessType.RFO) "
+             "and read the constant",
+        scope="hot",
+    ),
     # ------------------------------------------------------------------
     # SS3xx — API hygiene.
     # ------------------------------------------------------------------
@@ -194,12 +204,12 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.sim.engine.Engine.post",
     "repro.sim.engine.Engine.run",
     "repro.sim.engine.Engine.step",
+    "repro.sim.engine.Engine._run_fast",
     "repro.sim.engine.Engine._run_watched",
+    "repro.sim.engine.Engine._run_general",
     "repro.sim.engine.Engine._fire_watchers",
     "repro.sim.cache.Cache.access",
     "repro.sim.cache.Cache._lookup",
-    "repro.sim.cache.Cache._handle_hit",
-    "repro.sim.cache.Cache._handle_miss",
     "repro.sim.cache.Cache._start_miss",
     "repro.sim.cache.Cache._fill_from_child",
     "repro.sim.cache.Cache._install",
@@ -210,7 +220,6 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.sim.cache.Cache.invalidate",
     "repro.sim.cache.Cache.block_addr",
     "repro.sim.cpu.Core._dispatch",
-    "repro.sim.cpu.Core._complete",
     "repro.sim.cpu.Core._complete_cb",
     "repro.sim.cpu.Core._retire",
     "repro.sim.dram.DRAM.access",
@@ -239,13 +248,6 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.core.sht.SignatureHistoryTable.pd_increment",
     "repro.core.sht.SignatureHistoryTable.pd_decrement",
     # Batched backend (DESIGN.md §13) — same per-event discipline.
-    "repro.sim.batched.engine.EpochEngine.run",
-    "repro.sim.batched.engine.EpochEngine.post",
-    "repro.sim.batched.engine.EpochEngine.step",
-    "repro.sim.batched.engine.EpochEngine._run_fast",
-    "repro.sim.batched.engine.EpochEngine._run_watched",
-    "repro.sim.batched.engine.EpochEngine._run_general",
-    "repro.sim.batched.engine.EpochEngine._fire_watchers",
     "repro.sim.batched.cache.BatchedCache.access",
     "repro.sim.batched.cache.BatchedCache._lookup",
     "repro.sim.batched.cache.BatchedCache._start_miss",
@@ -260,17 +262,19 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.sim.batched.cpu.BatchedCore._complete_cb",
 })
 
-#: Modules allowed to touch the raw event queue (SS204): each registered
-#: engine backend owns its queue structure; everything else must
-#: schedule through the engine's public post/at/after API.
+#: Modules allowed to touch the raw event queue (SS204): the engine owns
+#: its calendar; everything else must schedule through the engine's
+#: public post/at/after API.
 ENGINE_MODULES: FrozenSet[str] = frozenset({
     "repro.sim.engine",
-    "repro.sim.batched.engine",
-    # save-state codec: snapshot/restore round-trips the engines' queue
-    # state (via their __getstate__/__setstate__), so it is engine-module
-    # code even though it lives outside the two backends
+    # save-state codec: snapshot/restore round-trips the engine's queue
+    # state (via its __getstate__/__setstate__), so it is engine-module
+    # code even though it lives outside the engine
     "repro.sim.savestate",
 })
+
+#: Enum classes whose members SS205 keeps out of hot-path functions.
+HOT_ENUM_CLASSES: FrozenSet[str] = frozenset({"AccessType"})
 
 #: Raw trace-generator calls SS401 flags inside ``repro.harness``:
 #: cache-bypassing generation belongs in ``repro.workloads`` (behind

@@ -13,7 +13,7 @@ Invariants, each with a stable rule ID (mirroring the lint IDs):
 
 ``SAN-TIME``
     Event time is monotonic and nothing is queued in the past.  Protects
-    the deterministic heap ordering every other measurement sits on.
+    the deterministic event ordering every other measurement sits on.
 ``SAN-TAG``
     Each cache's ``tag -> way`` index agrees with a reference
     first-match linear scan of the tag array, per-set valid counts
@@ -149,8 +149,7 @@ class Sanitizer:
                 SAN_TIME, f"engine time moved backwards: "
                           f"{self._last_now} -> {now}")
         self._last_now = now
-        # Engine-backend API (works for the classic heap and the batched
-        # calendar queue alike): earliest queued timestamp, or None.
+        # Engine API: earliest queued timestamp, or None.
         head = self.engine.next_event_time()
         if head is not None and head < now:
             raise SanitizerError(

@@ -32,6 +32,7 @@ from ..policies.registry import register
 from ..policies.sampling import choose_sampled_sets
 from ..sim.request import AccessType
 
+_PREFETCH = AccessType.PREFETCH
 EPV_MAX = 3          # 2-bit eviction priority value
 _NO_SIG = -1         # sampled-set slot holds no trainable signature
 
@@ -110,7 +111,7 @@ class CAREPolicy(ReplacementPolicy):
         if access.is_writeback:
             return                          # writebacks never promote
         epv = self._epv[set_idx]
-        if access.rtype == AccessType.PREFETCH:
+        if access.rtype == _PREFETCH:
             if access.prefetch:
                 # A prefetched, still-undemanded block touched again only by
                 # prefetches: leave its EPV alone (Section V-E).
@@ -135,7 +136,7 @@ class CAREPolicy(ReplacementPolicy):
     def _train_hit(self, set_idx: int, way: int, access: PolicyAccess) -> None:
         if set_idx not in self.sampled:
             return
-        if access.rtype == AccessType.PREFETCH:
+        if access.rtype == _PREFETCH:
             return                          # only demand reuse trains RC
         sig = self._sig[set_idx][way]
         if sig == _NO_SIG:

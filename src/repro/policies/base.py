@@ -15,6 +15,10 @@ from typing import List
 
 from ..sim.request import AccessType
 
+_LOAD = AccessType.LOAD
+_RFO = AccessType.RFO
+_WRITEBACK = AccessType.WRITEBACK
+
 
 class PolicyAccess:
     """Everything a policy may look at for one access.
@@ -48,11 +52,11 @@ class PolicyAccess:
 
     @property
     def is_writeback(self) -> bool:
-        return self.rtype == AccessType.WRITEBACK
+        return self.rtype == _WRITEBACK
 
     @property
     def is_demand(self) -> bool:
-        return self.rtype in (AccessType.LOAD, AccessType.RFO)
+        return self.rtype in (_LOAD, _RFO)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PolicyAccess(pc={self.pc:#x}, addr={self.addr:#x}, "

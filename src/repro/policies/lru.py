@@ -26,13 +26,7 @@ class LRUPolicy(ReplacementPolicy):
 
     def find_victim(self, set_idx: int, blocks, access: PolicyAccess) -> int:
         stamps = self._stamp[set_idx]
-        victim = 0
-        oldest = stamps[0]
-        for way in range(1, self.ways):
-            if stamps[way] < oldest:
-                oldest = stamps[way]
-                victim = way
-        return victim
+        return stamps.index(min(stamps))     # first (lowest) oldest way
 
     def on_hit(self, set_idx: int, way: int, blocks, access: PolicyAccess) -> None:
         self._clock += 1

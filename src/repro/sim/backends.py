@@ -1,10 +1,11 @@
 """Pluggable engine-backend registry (DESIGN.md §13).
 
 The simulator has one *model* (cores, caches, MSHRs, PML, DRAM) but may
-have several *engine cores* that execute it: the classic per-event heap
-loop (:class:`repro.sim.system.System`) and the batched struct-of-arrays
-core (:class:`repro.sim.batched.system.BatchedSystem`).  A backend is a
-factory with the ``System`` constructor signature::
+have several *engine cores* that execute it: the classic per-block
+caches and deque ROB (:class:`repro.sim.system.System`) and the batched
+struct-of-arrays core (:class:`repro.sim.batched.system.BatchedSystem`),
+both on the one calendar-queue :class:`repro.sim.engine.Engine`.  A
+backend is a factory with the ``System`` constructor signature::
 
     factory(cfg, traces, llc_policy=..., prefetch=..., seed=..., ...)
 

@@ -1,12 +1,9 @@
 """Batched engine backend (DESIGN.md §13).
 
 ``repro.sim.batched`` is the ``"batched"`` entry in the backend registry
-(:mod:`repro.sim.backends`): a drop-in replacement for the classic
-per-event heap simulator built around
+(:mod:`repro.sim.backends`): the classic machine on the shared
+calendar-queue :class:`~repro.sim.engine.Engine`, with
 
-* :class:`~repro.sim.batched.engine.EpochEngine` — a calendar-queue event
-  engine that drains all events of one cycle in bulk instead of one heap
-  pop per event,
 * :class:`~repro.sim.batched.cache.BatchedCache` — struct-of-arrays tag
   state (numpy) with fused lookup/fill paths and batched per-set
   replacement-metadata updates for the LRU/SRRIP/CARE hot policies,
@@ -21,7 +18,6 @@ backends, and every fast path carries an equivalence argument in
 DESIGN.md §13.
 """
 
-from .engine import EpochEngine
 from .system import BatchedSystem
 
-__all__ = ["EpochEngine", "BatchedSystem"]
+__all__ = ["BatchedSystem"]

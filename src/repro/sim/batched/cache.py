@@ -8,9 +8,9 @@ policy decisions — with three structural changes (DESIGN.md §13):
   struct-of-arrays (flat numpy arrays indexed ``set_idx * ways + way``)
   instead of per-way ``CacheBlock`` objects; ``_sets`` materializes
   classic blocks on demand for introspection,
-* lookup/hit/miss/install are fused into single functions (the classic
-  backend spreads them over ~6 calls per event), and events are appended
-  straight into the :class:`~.engine.EpochEngine` calendar bucket,
+* lookup/hit/miss/install are fused into single functions, and events
+  are appended straight into the :class:`~repro.sim.engine.Engine`
+  calendar bucket,
 * replacement metadata for the hot policies is updated **per set in
   bulk**: LRU keeps a flat stamp array and picks victims with ``argmin``;
   SRRIP keeps a flat RRPV array, replaces the classic one-step aging loop
@@ -45,13 +45,14 @@ from ...policies.lru import LRUPolicy
 from ...policies.srrip import SRRIPPolicy
 
 if TYPE_CHECKING:
-    from .engine import EpochEngine
+    from ..engine import Engine
     from ...core.pmc import ConcurrencyMonitor
     from ...policies.base import ReplacementPolicy
     from ...prefetch.base import Prefetcher
 
 _WRITEBACK = AccessType.WRITEBACK
 _RFO = AccessType.RFO
+_PREFETCH = AccessType.PREFETCH
 
 #: fast-path selector values (``_pmode``)
 _P_GENERIC, _P_LRU, _P_SRRIP, _P_CARE = 0, 1, 2, 3
@@ -95,16 +96,12 @@ class BatchedCache:
         "_meta_max", "_clock", "_view",
     )
 
-    def __init__(self, cfg: CacheConfig, engine: "EpochEngine",
+    def __init__(self, cfg: CacheConfig, engine: "Engine",
                  policy: "ReplacementPolicy",
                  lower: Optional[Any] = None,
                  monitor: Optional["ConcurrencyMonitor"] = None,
                  prefetcher: Optional["Prefetcher"] = None,
                  inclusive: bool = False) -> None:
-        if not hasattr(engine, "_buckets"):
-            raise TypeError(
-                "BatchedCache requires an EpochEngine (calendar queue); "
-                f"got {type(engine).__name__}")
         self.cfg = cfg
         self.name = cfg.name
         self.engine = engine
@@ -140,8 +137,7 @@ class BatchedCache:
         self._fill_cb = self._fill_from_child
         self._lookup_cb = self._lookup
         # Calendar internals bound once: `access` appends its lookup
-        # event straight into the bucket (the batched counterpart of the
-        # classic inlined heappush).
+        # event straight into the bucket.
         self._ebuckets = engine._buckets
         self._etimes = engine._times
         self.tracer: Optional[Any] = None
@@ -299,7 +295,7 @@ class BatchedCache:
             monitor.on_access(req.core, now, req.is_demand)
         if req.trace and self.tracer is not None:
             self.tracer.span_begin(req, self.name, now)
-        # Inlined EpochEngine.post — the single most frequent scheduling
+        # Inlined Engine.post — the single most frequent scheduling
         # site; bucket append order equals classic seq order.
         t = now + self._latency
         buckets = self._ebuckets
@@ -652,7 +648,7 @@ class BatchedCache:
         if len(entries) >= self._mshr_cap or self._pending:
             return                      # don't let prefetches add pressure
         preq = MemRequest(
-            addr, trigger.pc, trigger.core, AccessType.PREFETCH,
+            addr, trigger.pc, trigger.core, _PREFETCH,
             created=self.engine.now,
         )
         self.prefetcher.issued += 1

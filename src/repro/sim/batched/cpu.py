@@ -35,7 +35,7 @@ from ..request import MemRequest
 
 if TYPE_CHECKING:
     from .cache import BatchedCache
-    from .engine import EpochEngine
+    from ..engine import Engine
 
 
 class BatchedCore:
@@ -51,7 +51,7 @@ class BatchedCore:
         "finish_time", "_complete_callback", "tracer", "_trace_tid",
     )
 
-    def __init__(self, core_id: int, engine: "EpochEngine",
+    def __init__(self, core_id: int, engine: "Engine",
                  l1: "BatchedCache", records: Sequence, cfg: CoreConfig,
                  measure_records: Optional[int] = None,
                  warmup_records: int = 0,

@@ -20,17 +20,15 @@ import gc
 
 from .cache import BatchedCache
 from .cpu import BatchedCore
-from .engine import EpochEngine
 from ..stats import SimResult
 from ..system import System
 
 
 class BatchedSystem(System):
-    """Classic wiring over the calendar engine + SoA cache/core."""
+    """Classic wiring with the SoA cache and core swapped in."""
 
     __slots__ = ()
 
-    engine_cls = EpochEngine
     cache_cls = BatchedCache
     core_cls = BatchedCore
 

@@ -27,17 +27,17 @@ cross-checks the index against the tag array.  A per-set valid-block
 count skips the free-way scan once a set reaches steady state (every
 install into a full set goes straight to victim selection).  Miss fills
 use a cached bound method plus the request's ``mshr_entry`` field
-instead of allocating a closure per miss, and lookups are scheduled
-through :meth:`repro.sim.engine.Engine.post` (the unchecked integer-time
-fast path).  All of this is behaviour-preserving — the golden-equivalence
-suite pins results bit-for-bit.
+instead of allocating a closure per miss, lookups are scheduled
+through a cached :meth:`repro.sim.engine.Engine.post` (the unchecked
+integer-time fast path), and :meth:`Cache._lookup` handles hits and
+misses in one frame.  All of this is behaviour-preserving — the
+golden-equivalence suite pins results bit-for-bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
 
 from .config import BLOCK_BITS, CacheConfig
@@ -51,6 +51,8 @@ if TYPE_CHECKING:
     from ..policies.base import ReplacementPolicy
     from ..prefetch.base import Prefetcher
 
+_RFO = AccessType.RFO
+_PREFETCH = AccessType.PREFETCH
 _WRITEBACK = AccessType.WRITEBACK
 
 
@@ -301,30 +303,52 @@ class Cache:
     # ------------------------------------------------------------------
     def access(self, req: MemRequest) -> None:
         """Entry point: an access arrives at this level now."""
-        engine = self.engine
-        now = engine.now
+        now = self.engine.now
         self.stats.accesses[req.rtype] += 1
         if self.monitor is not None:
             self.monitor.on_access(req.core, now, req.is_demand)
         if req.trace and self.tracer is not None:
             self.tracer.span_begin(req, self.name, now)
-        # Inlined Engine.post — this is the single most frequent scheduling
-        # site in the simulator (one event per access per level); identical
-        # heap tuple and sequence numbering, measured in DESIGN.md §9.
-        _heappush(engine._heap,  # simsan: skip=SS204
-                  (now + self._latency, engine._seq, self._lookup_cb, (req,)))
-        engine._seq += 1
+        self._post(now + self._latency, self._lookup_cb, req)
 
     def _lookup(self, req: MemRequest) -> None:
+        """The access's tag check: hit, miss, MSHR merge or stall, then
+        prefetcher training — one frame for the whole per-access path."""
         block = req.block
         set_idx = block & self._set_mask
         way = self._tag2way[set_idx].get(block >> self._set_bits, -1)
+        rtype = req.rtype
 
         if way >= 0:
-            self._handle_hit(req, set_idx, way)
+            now = self.engine.now
+            blocks = self._sets[set_idx]
+            blk = blocks[way]
+            self.stats.hits[rtype] += 1
+            if self.monitor is not None:
+                self.monitor.on_hit_observed(req.core, now)
+            access = PolicyAccess(req.pc, req.addr, req.core, rtype,
+                                  blk.prefetch)
+            if rtype == _WRITEBACK:
+                blk.dirty = True
+                self.policy.on_hit(set_idx, way, blocks, access)
+                return                  # writebacks never train
+            if blk.prefetch and req.is_demand:
+                self.stats.prefetch_useful += 1
+            self.policy.on_hit(set_idx, way, blocks, access)
+            if req.is_demand:
+                blk.prefetch = False      # block has now been demanded
+                if rtype == _RFO:
+                    blk.dirty = True
+            if req.trace and self.tracer is not None:
+                self.tracer.span_end(req, self.name, now, hit=True)
+            # Inlined MemRequest.respond
+            req.completed = now
+            req.served_by = self.name
+            cb = req.callback
+            if cb is not None:
+                cb(req, now)
         else:
             stats = self.stats
-            rtype = req.rtype
             stats.misses[rtype] += 1
             if req.is_demand:
                 by_core = stats.demand_misses_by_core
@@ -332,74 +356,40 @@ class Cache:
             if rtype == _WRITEBACK:
                 # Write-allocate without fetch: the full line is incoming.
                 self._install(req, dirty=True, entry=None)
+                return                  # writebacks never train
+            mshr = self.mshr
+            entries = mshr._entries
+            entry = entries.get(block)
+            if entry is not None:
+                was_prefetch_only = entry.prefetch_only
+                entry.merge(req)
+                mshr.merges += 1
+                stats.mshr_merges += 1
+                if was_prefetch_only and not entry.prefetch_only:
+                    stats.prefetch_promoted += 1
+                if req.trace and self.tracer is not None:
+                    self.tracer.instant("mshr-merge", self.name,
+                                        self.engine.now, req.core,
+                                        block=hex(block))
+            elif len(entries) >= mshr.capacity:
+                stats.mshr_stalls += 1
+                self._pending.append(req)
+                if req.trace and self.tracer is not None:
+                    self.tracer.instant("mshr-stall", self.name,
+                                        self.engine.now, req.core,
+                                        block=hex(block))
             else:
-                self._handle_miss(req)
+                self._start_miss(req)
 
         prefetcher = self.prefetcher
         if prefetcher is not None and req.is_demand:
             for addr in prefetcher.train(req, way >= 0):
                 self._issue_prefetch(addr, req)
 
-    def _handle_hit(self, req: MemRequest, set_idx: int, way: int) -> None:
-        now = self.engine.now
-        blocks = self._sets[set_idx]
-        blk = blocks[way]
-        rtype = req.rtype
-        self.stats.hits[rtype] += 1
-        if self.monitor is not None:
-            self.monitor.on_hit_observed(req.core, now)
-        access = PolicyAccess(req.pc, req.addr, req.core, rtype, blk.prefetch)
-        if rtype == _WRITEBACK:
-            blk.dirty = True
-            self.policy.on_hit(set_idx, way, blocks, access)
-            return
-        if blk.prefetch and req.is_demand:
-            self.stats.prefetch_useful += 1
-        self.policy.on_hit(set_idx, way, blocks, access)
-        if req.is_demand:
-            blk.prefetch = False      # block has now been demanded
-            if rtype == AccessType.RFO:
-                blk.dirty = True
-        if req.trace and self.tracer is not None:
-            self.tracer.span_end(req, self.name, now, hit=True)
-        # Inlined MemRequest.respond
-        req.completed = now
-        req.served_by = self.name
-        cb = req.callback
-        if cb is not None:
-            cb(req, now)
-
-    def _handle_miss(self, req: MemRequest) -> None:
-        block = req.block
-        mshr = self.mshr
-        entries = mshr._entries
-        entry = entries.get(block)
-        if entry is not None:
-            was_prefetch_only = entry.prefetch_only
-            entry.merge(req)
-            mshr.merges += 1
-            self.stats.mshr_merges += 1
-            if was_prefetch_only and not entry.prefetch_only:
-                self.stats.prefetch_promoted += 1
-            if req.trace and self.tracer is not None:
-                self.tracer.instant("mshr-merge", self.name,
-                                    self.engine.now, req.core,
-                                    block=hex(block))
-            return
-        if len(entries) >= mshr.capacity:
-            self.stats.mshr_stalls += 1
-            self._pending.append(req)
-            if req.trace and self.tracer is not None:
-                self.tracer.instant("mshr-stall", self.name,
-                                    self.engine.now, req.core,
-                                    block=hex(block))
-            return
-        self._start_miss(req)
-
     def _start_miss(self, req: MemRequest) -> None:
         now = self.engine.now
         core = req.core
-        # Inlined MSHR.allocate: both callers (`_handle_miss`,
+        # Inlined MSHR.allocate: both callers (`_lookup`,
         # `_retry_pending`) have just confirmed the file is not full and
         # holds no entry for this block.
         mshr = self.mshr
@@ -487,8 +477,9 @@ class Cache:
                     way = w
                     break
         if way < 0:
-            way = policy.check_way(
-                policy.find_victim(set_idx, blocks, fill_access))
+            way = policy.find_victim(set_idx, blocks, fill_access)
+            if not 0 <= way < self._ways:
+                policy.check_way(way)   # raises the policy's own error
             victim = blocks[way]
             policy.on_evict(set_idx, way, blocks, fill_access)
             self.stats.evictions += 1
@@ -584,7 +575,7 @@ class Cache:
         if len(entries) >= mshr.capacity or self._pending:
             return                      # don't let prefetches add pressure
         preq = MemRequest(
-            addr, trigger.pc, trigger.core, AccessType.PREFETCH,
+            addr, trigger.pc, trigger.core, _PREFETCH,
             created=self.engine.now,
         )
         self.prefetcher.issued += 1

@@ -38,6 +38,9 @@ from .request import AccessType, MemRequest
 if TYPE_CHECKING:
     from .cache import Cache
 
+_LOAD = AccessType.LOAD
+_RFO = AccessType.RFO
+
 
 class _RobEntry:
     __slots__ = ("slots", "done", "measured", "deferred")
@@ -161,8 +164,6 @@ class Core:
         replay = self.replay
         warmup = self.warmup_records
         measure_end = warmup + self.measure_records
-        rfo = AccessType.RFO
-        load = AccessType.LOAD
         tracer = self.tracer
         trace_tid = self._trace_tid
         idx = self._idx
@@ -192,11 +193,11 @@ class Core:
                     front_time = now + slots / width
                 else:
                     front_time += slots / width
-                issue_cycle = int(ceil(front_time))
+                issue_cycle = ceil(front_time)
                 if issue_cycle < now:
                     issue_cycle = now
                 req = MemRequest(rec.addr, rec.pc, core_id,
-                                 rfo if rec.is_write else load,
+                                 _RFO if rec.is_write else _LOAD,
                                  issue_cycle, callback)
                 req.rob_entry = entry
                 if tracer is not None and tracer.take():
@@ -223,21 +224,22 @@ class Core:
     def _complete_cb(self, req: MemRequest, _time: int) -> None:
         if req.trace and self.tracer is not None:
             self.tracer.span_end(req, self._trace_tid, self.engine.now)
-        self._complete(req.rob_entry)
-
-    def _complete(self, entry: _RobEntry) -> None:
+        entry = req.rob_entry
         entry.done = True
         if entry.deferred:
-            for req in entry.deferred:
-                self.l1.access(req)
+            for dep in entry.deferred:
+                self.l1.access(dep)
             entry.deferred = None
-        self._retire()
-        self._dispatch()
+        # Only the head's completion can retire or dispatch anything:
+        # retirement is eager, so the head is never done between events,
+        # and ``_dispatch`` stops only on a full ROB or for good, so a
+        # completion that retires nothing frees no slot for it.
+        if self._rob[0] is entry:
+            self._retire()
+            self._dispatch()
 
     def _retire(self) -> None:
         rob = self._rob
-        if not rob or not rob[0].done:
-            return
         now = self.engine.now
         while rob and rob[0].done:
             entry = rob.popleft()

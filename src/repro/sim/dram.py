@@ -19,6 +19,8 @@ from .config import DRAMConfig
 from .engine import Engine
 from .request import AccessType, MemRequest
 
+_WRITEBACK = AccessType.WRITEBACK
+
 
 @dataclass
 class DRAMStats:
@@ -109,7 +111,7 @@ class DRAM:
         bank.next_free = done
         self._bus_free[channel] = done
 
-        if req.rtype == AccessType.WRITEBACK:
+        if req.rtype == _WRITEBACK:
             self.stats.writes += 1
             return
         self.stats.reads += 1

@@ -26,6 +26,8 @@ from .dram import DRAMStats, _Bank
 from .engine import Engine
 from .request import AccessType, MemRequest
 
+_WRITEBACK = AccessType.WRITEBACK
+
 
 @dataclass
 class ControllerStats(DRAMStats):
@@ -99,7 +101,7 @@ class FRFCFSController:
         ch_idx, bank, row = self._route(req.addr)
         ch = self._channels[ch_idx]
         entry = _QueuedRequest(req, now, bank, row)
-        if req.rtype == AccessType.WRITEBACK:
+        if req.rtype == _WRITEBACK:
             if len(ch.write_q) >= self.write_queue:
                 # Oldest write merges conceptually; drop the new arrival's
                 # queue slot pressure by forcing an immediate drain phase.
@@ -192,7 +194,7 @@ class FRFCFSController:
         ch = self._channels[ch_idx]
         ch.bank_busy[entry.bank] = False
         ch.banks[entry.bank].next_free = done
-        if entry.req.rtype == AccessType.WRITEBACK:
+        if entry.req.rtype == _WRITEBACK:
             self.stats.writes += 1
         else:
             self.stats.reads += 1

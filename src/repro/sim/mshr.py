@@ -18,6 +18,9 @@ from typing import Dict, List, Optional
 
 from .request import AccessType, MemRequest
 
+_RFO = AccessType.RFO
+_PREFETCH = AccessType.PREFETCH
+
 
 class MSHREntry:
     """One outstanding miss (one block) and everything merged into it."""
@@ -39,11 +42,11 @@ class MSHREntry:
             self.waiters = [primary]
             #: any waiter is an RFO (maintained on merge; the fill path
             #: reads this once per miss instead of rescanning the waiters)
-            self.rfo = rtype == AccessType.RFO
+            self.rfo = rtype == _RFO
         else:
             waiters.append(primary)
             self.waiters = waiters
-            self.rfo = any(w.rtype == AccessType.RFO for w in waiters)
+            self.rfo = any(w.rtype == _RFO for w in waiters)
 
         # --- concurrency bookkeeping (updated by the ConcurrencyMonitor) --
         self.pmc = 0.0               # pure miss contribution accumulated so far
@@ -53,18 +56,18 @@ class MSHREntry:
 
         # --- provenance ---------------------------------------------------
         #: no demand request merged in yet
-        self.prefetch_only = rtype == AccessType.PREFETCH
+        self.prefetch_only = rtype == _PREFETCH
         self.instr_at_issue = 0      # core's instruction count when miss issued
 
     def merge(self, req: MemRequest) -> None:
         """Attach a secondary miss to this entry."""
         self.waiters.append(req)
         rtype = req.rtype
-        if rtype != AccessType.PREFETCH:
+        if rtype != _PREFETCH:
             # A demand merged under a prefetch-initiated miss: the block is
             # no longer a pure prefetch (ChampSim's prefetch promotion).
             self.prefetch_only = False
-            if rtype == AccessType.RFO:
+            if rtype == _RFO:
                 self.rfo = True
 
     @property

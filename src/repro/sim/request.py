@@ -37,6 +37,12 @@ class AccessType(IntEnum):
         return self in (AccessType.LOAD, AccessType.RFO)
 
 
+# Enum members bound once: a class-attribute read on an enum costs about
+# ten times a module-global read, and the hot path compares per request.
+_RFO = AccessType.RFO
+_PREFETCH = AccessType.PREFETCH
+_WRITEBACK = AccessType.WRITEBACK
+
 _next_request_id = 0
 
 
@@ -81,7 +87,7 @@ class MemRequest:
 
         # Precomputed hot-path fields -------------------------------------
         self.block = addr >> BLOCK_BITS       # cache line number
-        self.is_demand = rtype <= AccessType.RFO   # LOAD or RFO
+        self.is_demand = rtype <= _RFO   # LOAD or RFO
         # set by Cache._start_miss on children / Core._dispatch on core
         # requests; typed Any to avoid import cycles on the hot path.
         self.mshr_entry: Optional[Any] = None
@@ -92,11 +98,11 @@ class MemRequest:
 
     @property
     def is_prefetch(self) -> bool:
-        return self.rtype == AccessType.PREFETCH
+        return self.rtype == _PREFETCH
 
     @property
     def is_writeback(self) -> bool:
-        return self.rtype == AccessType.WRITEBACK
+        return self.rtype == _WRITEBACK
 
     def child(self, rtype: Optional[AccessType] = None,
               callback: Optional[Callable[["MemRequest", int], None]] = None,

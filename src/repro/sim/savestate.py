@@ -1,18 +1,17 @@
-"""Versioned in-flight save-states for both engine backends.
+"""Versioned in-flight save-states for both simulator backends.
 
 A save-state captures the *entire* deterministic machine mid-run — the
-classic heap engine (event queue, time, sequence counter), the batched
-:class:`~repro.sim.batched.engine.EpochEngine` (calendar buckets, live
-drain cursor normalized away), every cache/MSHR/core/DRAM component,
-the PML concurrency monitor, attached observers, and the module-level
+:class:`~repro.sim.engine.Engine` (calendar buckets, time, live drain
+cursor normalized away), every cache/MSHR/core/DRAM component, the PML
+concurrency monitor, attached observers, and the module-level
 request-id counter — so that *restore-then-run is byte-identical to an
 uninterrupted run*.  The golden checkpoint suite pins that invariant on
-every fixture under both engines.
+every fixture under both backends.
 
-Snapshots are only meaningful at a **watcher boundary**: both engines
-settle ``events_processed``, reset the loop countdown, and (for the
-calendar engine) expose the live-bucket cursor before invoking a
-watcher, so a snapshot taken inside a watcher call resumes phase-exact.
+Snapshots are only meaningful at a **watcher boundary**: the engine
+settles ``events_processed``, resets the loop countdown, and exposes the
+live-bucket cursor before invoking a watcher, so a snapshot taken
+inside a watcher call resumes phase-exact.
 The :class:`~repro.harness.preempt.CheckpointPolicy` watcher is the only
 sanctioned snapshot site.
 
@@ -63,8 +62,8 @@ def encode_savestate(system: Any, *, spec_key: str,
                      fingerprint: str) -> bytes:
     """Serialize ``system`` mid-run into a ``repro.savestate/v1`` blob.
 
-    Must be called at a watcher boundary (see module doc); the engines'
-    ``__getstate__`` hooks normalize their queues so the pickled state
+    Must be called at a watcher boundary (see module doc); the engine's
+    ``__getstate__`` hook normalizes its calendar so the pickled state
     is exactly "every event not yet dispatched".
     """
     from . import request as request_mod

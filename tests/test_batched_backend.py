@@ -3,9 +3,10 @@
 Three layers are pinned here, below the golden suite's end-to-end
 bit-identity:
 
-* :class:`~repro.sim.batched.engine.EpochEngine` — event *order* must
-  match the classic heap engine exactly (time, then scheduling order),
-  including same-cycle self-scheduling, ``stop()`` mid-bucket,
+* the calendar-queue :class:`~repro.sim.engine.Engine` the backend was
+  built around (now the shared engine) — event *order* must match the
+  classic ``(time, seq)`` heap, :class:`tests.test_engine.HeapModel`,
+  exactly, including same-cycle self-scheduling, ``stop()`` mid-bucket,
   ``until``/``max_events`` bounds, and watcher multiplexing;
 * the struct-of-arrays stores in :mod:`repro.sim.batched.soa`;
 * the :mod:`repro.sim.backends` registry and the deprecation shims the
@@ -20,16 +21,16 @@ import pytest
 
 from repro.sim.backends import (UnknownBackendError, available_backends,
                                 build_system, get_backend, resolve_engine)
-from repro.sim.batched.engine import EpochEngine
 from repro.sim.batched.soa import SoAMSHR, SoATagArrays, TraceColumns
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, EngineError
 from repro.sim.request import AccessType, MemRequest
 from repro.workloads import TraceRecord
+from tests.test_engine import HeapModel
 
 
 # ----------------------------------------------------------------------
-# EpochEngine: drain order is the classic (time, seq) order
+# Engine: drain order is the classic (time, seq) heap order
 # ----------------------------------------------------------------------
 def _random_schedule(engine, log, seed, n=200, self_schedule=True):
     """Schedule n tagged events at random times, some re-scheduling."""
@@ -49,20 +50,20 @@ def _random_schedule(engine, log, seed, n=200, self_schedule=True):
 
 @pytest.mark.parametrize("self_schedule", [False, True])
 def test_drain_order_matches_classic_engine(self_schedule):
-    classic, batched = Engine(), EpochEngine()
-    log_c = _random_schedule(classic, [], seed=7, self_schedule=self_schedule)
-    log_b = _random_schedule(batched, [], seed=7, self_schedule=self_schedule)
-    n_c = classic.run()
-    n_b = batched.run()
+    model, calendar = HeapModel(), Engine()
+    log_c = _random_schedule(model, [], seed=7, self_schedule=self_schedule)
+    log_b = _random_schedule(calendar, [], seed=7, self_schedule=self_schedule)
+    n_c = model.run()
+    n_b = calendar.run()
     assert log_b == log_c
     assert n_b == n_c
-    assert batched.events_processed == classic.events_processed
-    assert batched.now == classic.now
-    assert batched.pending == 0
+    assert calendar.events_processed == model.events_processed
+    assert calendar.now == model.now
+    assert calendar.pending == 0
 
 
 def test_same_cycle_appends_drain_in_the_same_walk():
-    engine = EpochEngine()
+    engine = Engine()
     log = []
 
     def second():
@@ -79,7 +80,7 @@ def test_same_cycle_appends_drain_in_the_same_walk():
 
 
 def test_stop_mid_bucket_preserves_tail_and_resumes():
-    engine = EpochEngine()
+    engine = Engine()
     log = []
     for tag in range(6):
         engine.at(4, log.append, tag)
@@ -103,36 +104,36 @@ def test_stop_mid_bucket_preserves_tail_and_resumes():
     {"until": 20}, {"max_events": 37}, {"until": 20, "max_events": 37},
 ])
 def test_bounded_runs_match_classic_engine(kwargs):
-    classic, batched = Engine(), EpochEngine()
-    log_c = _random_schedule(classic, [], seed=11)
-    log_b = _random_schedule(batched, [], seed=11)
-    n_c = classic.run(**kwargs)
-    n_b = batched.run(**kwargs)
+    model, calendar = HeapModel(), Engine()
+    log_c = _random_schedule(model, [], seed=11)
+    log_b = _random_schedule(calendar, [], seed=11)
+    n_c = model.run(**kwargs)
+    n_b = calendar.run(**kwargs)
     assert log_b == log_c
     assert n_b == n_c
-    assert batched.now == classic.now
-    assert batched.events_processed == classic.events_processed
+    assert calendar.now == model.now
+    assert calendar.events_processed == model.events_processed
     # and the leftovers drain identically
-    assert batched.run() == classic.run()
+    assert calendar.run() == model.run()
     assert log_b == log_c
 
 
 def test_step_and_pending_match_classic_engine():
-    classic, batched = Engine(), EpochEngine()
-    _random_schedule(classic, [], seed=3, n=40, self_schedule=False)
-    _random_schedule(batched, [], seed=3, n=40, self_schedule=False)
+    model, calendar = HeapModel(), Engine()
+    _random_schedule(model, [], seed=3, n=40, self_schedule=False)
+    _random_schedule(calendar, [], seed=3, n=40, self_schedule=False)
     while True:
-        assert batched.pending == classic.pending
-        assert batched.next_event_time() == classic.next_event_time()
-        stepped_c, stepped_b = classic.step(), batched.step()
+        assert calendar.pending == model.pending
+        assert calendar.next_event_time() == model.next_event_time()
+        stepped_c, stepped_b = model.step(), calendar.step()
         assert stepped_b == stepped_c
         if not stepped_c:
             break
-        assert batched.now == classic.now
+        assert calendar.now == model.now
 
 
 def test_scheduling_guards():
-    engine = EpochEngine()
+    engine = Engine()
     engine.at(5, lambda: None)
     engine.run()
     with pytest.raises(EngineError):
@@ -142,9 +143,9 @@ def test_scheduling_guards():
 
 
 def test_watcher_multiplexing_parity():
-    classic, batched = Engine(), EpochEngine()
+    model, calendar = HeapModel(), Engine()
     counts = {"c1": 0, "c2": 0, "b1": 0, "b2": 0}
-    for eng, keys in ((classic, ("c1", "c2")), (batched, ("b1", "b2"))):
+    for eng, keys in ((model, ("c1", "c2")), (calendar, ("b1", "b2"))):
         _random_schedule(eng, [], seed=5, self_schedule=False)
         fns = []
         for key in keys:
@@ -152,15 +153,15 @@ def test_watcher_multiplexing_parity():
         eng.add_watcher(fns[0], 16)
         eng.add_watcher(fns[1], 64)
         eng.run()
-        eng.remove_watcher(fns[0])
-        eng.remove_watcher(fns[1])
-        assert eng.watcher is None
+    calendar.remove_watcher(fns[0])
+    calendar.remove_watcher(fns[1])
+    assert calendar.watcher is None
     assert counts["b1"] == counts["c1"] > 0
     assert counts["b2"] == counts["c2"]
 
 
 def test_direct_watcher_assignment_conflicts_with_add_watcher():
-    engine = EpochEngine()
+    engine = Engine()
     engine.watcher = lambda: None
     with pytest.raises(EngineError):
         engine.add_watcher(lambda: None, 8)
@@ -249,14 +250,6 @@ def test_resolve_engine_precedence(monkeypatch):
     assert resolve_engine("classic", None) == "batched"
 
 
-def test_batched_cache_requires_epoch_engine(tiny_cfg):
-    from repro.policies.lru import LRUPolicy
-    from repro.sim.batched.cache import BatchedCache
-    llc = tiny_cfg.llc
-    with pytest.raises(TypeError, match="EpochEngine"):
-        BatchedCache(llc, Engine(), LRUPolicy(llc.sets, llc.ways))
-
-
 # ----------------------------------------------------------------------
 # Deprecation shims (API redesign)
 # ----------------------------------------------------------------------
@@ -302,7 +295,7 @@ def test_build_system_selects_batched_components(tiny_cfg):
     from repro.sim.batched.cpu import BatchedCore
     system = build_system(tiny_cfg, [_mini_records()], engine="batched",
                           llc_policy="lru", warmup_records=0)
-    assert isinstance(system.engine, EpochEngine)
+    assert isinstance(system.engine, Engine)
     assert isinstance(system.llc, BatchedCache)
     assert all(isinstance(c, BatchedCore) for c in system.cores)
     result = system.run()

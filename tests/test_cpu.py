@@ -1,6 +1,8 @@
 """Core model: pacing, ROB limits, dependent loads, warmup, IPC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import AccessType, CoreConfig, Engine
 from repro.sim.cpu import Core
@@ -131,3 +133,83 @@ def test_ipc_definition():
     eng, l1, core = run_core(recs(40, gap=3), issue_width=4)
     cycles = core.finish_time - core.measure_start_time
     assert core.ipc == pytest.approx(core.retired_instructions / cycles)
+
+
+# ----------------------------------------------------------------------
+# Property: completions in any order, head-only redispatch
+# ----------------------------------------------------------------------
+class EagerCore(Core):
+    """Reference completion path: every completion retires and
+    redispatches, whether or not it completed the ROB head."""
+
+    __slots__ = ()
+
+    def _complete_cb(self, req, _time):
+        entry = req.rob_entry
+        entry.done = True
+        if entry.deferred:
+            for dep in entry.deferred:
+                self.l1.access(dep)
+            entry.deferred = None
+        self._retire()
+        self._dispatch()
+
+
+class HeldL1:
+    """Holds every access until the test completes it."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.outstanding = []
+        self.issued = []
+
+    def access(self, req):
+        self.issued.append((self.engine.now, req.addr, req.rtype))
+        self.outstanding.append(req)
+
+
+def _completion_trace(core_cls, records, picks, cfg, warmup, measure,
+                      replay):
+    """Complete held requests in ``picks`` order; record what the core
+    shows after every completion."""
+    eng = Engine()
+    l1 = HeldL1(eng)
+    core = core_cls(0, eng, l1, records, cfg, measure_records=measure,
+                    warmup_records=warmup, replay=replay)
+    seen = []
+
+    def complete(req):
+        req.callback(req, eng.now)
+        assert not core._rob or not core._rob[0].done   # retirement is eager
+        seen.append((eng.now, core._rob_occ, core.retired_records,
+                     core.measure_start_time, core.finish_time,
+                     core.finished))
+
+    core.start()
+    eng.run()
+    for k in range(120):
+        if not l1.outstanding:
+            break
+        pick = picks[k % len(picks)]
+        req = l1.outstanding.pop(pick % len(l1.outstanding))
+        eng.at(eng.now + 1 + pick % 3, complete, req)
+        eng.run()
+    return seen, l1.issued
+
+
+@settings(max_examples=120, deadline=None)
+@given(records=st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                                  st.booleans()), min_size=1, max_size=40),
+       picks=st.lists(st.integers(0, 63), min_size=1, max_size=16),
+       width=st.integers(1, 4), rob=st.integers(4, 12),
+       warmup=st.integers(0, 5), measure=st.none() | st.integers(1, 30),
+       replay=st.booleans())
+def test_completion_order_matches_eager_redispatch(records, picks, width, rob,
+                                                   warmup, measure, replay):
+    trace = [TraceRecord(pc=0x40 + i, addr=(i % 7) * 64, is_write=write,
+                         gap=gap, dep=dep)
+             for i, (gap, write, dep) in enumerate(records)]
+    cfg = CoreConfig(width, rob)
+    args = (trace, picks, cfg, warmup, measure, replay)
+    assert _completion_trace(Core, *args) == _completion_trace(EagerCore,
+                                                               *args)

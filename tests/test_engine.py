@@ -1,8 +1,72 @@
-"""Event engine: ordering, scheduling rules, stop/run semantics."""
+"""Event engine: ordering, scheduling rules, stop/run semantics.
+
+The calendar-queue :class:`Engine` is checked against :class:`HeapModel`,
+the plain ``(time, seq)`` heap it must be indistinguishable from.
+"""
+
+import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Engine, EngineError
+
+
+class HeapModel:
+    """Reference engine: one heap of ``(time, seq)``-ordered events."""
+
+    def __init__(self):
+        self.now = self.events_processed = self._seq = 0
+        self._heap, self._watchers, self._stopped = [], [], False
+
+    def post(self, time, fn, *args):
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        self._seq += 1
+
+    at = post
+
+    def after(self, delay, fn, *args):
+        self.post(self.now + delay, fn, *args)
+
+    def add_watcher(self, fn, interval):
+        self._watchers.append((fn, interval))
+
+    def stop(self):
+        self._stopped = True
+
+    @property
+    def pending(self):
+        return len(self._heap)
+
+    def next_event_time(self):
+        return self._heap[0][0] if self._heap else None
+
+    def step(self):
+        if not self._heap:
+            return False
+        self.now, _seq, fn, args = heapq.heappop(self._heap)
+        self.events_processed += 1
+        fn(*args)
+        return True
+
+    def run(self, until=None, max_events=None):
+        self._stopped, processed = False, 0
+        countdown = [interval for _fn, interval in self._watchers]
+        while self._heap and not self._stopped:
+            if until is not None and self._heap[0][0] > until:
+                self.now = until
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            self.step()
+            processed += 1
+            for k, (fn, interval) in enumerate(self._watchers):
+                countdown[k] -= 1
+                if countdown[k] == 0:
+                    countdown[k] = interval
+                    fn()
+        return processed
 
 
 def test_events_fire_in_time_order():
@@ -103,3 +167,74 @@ def test_events_processed_counter():
         eng.at(i, lambda: None)
     eng.run()
     assert eng.events_processed == 7
+
+
+# ----------------------------------------------------------------------
+# Property: the calendar queue is indistinguishable from the heap model
+# ----------------------------------------------------------------------
+#: per-tag behaviour: child delays (0 = same cycle) and whether to stop
+actions_st = st.lists(
+    st.tuples(st.lists(st.integers(0, 3), max_size=3), st.booleans()),
+    min_size=1, max_size=12)
+
+#: run calls between inspections; ``None`` fields mean "unbounded"
+run_plan_st = st.lists(
+    st.one_of(st.just(("step",)),
+              st.tuples(st.just("run"), st.none() | st.integers(0, 40),
+                        st.none() | st.integers(0, 30))),
+    max_size=8)
+
+
+def _drive(engine, initial, actions, plan, watch_interval):
+    """Run one scripted program on ``engine``; return everything a
+    caller or observer can see, in order."""
+    seen = []
+
+    def fire(tag, depth):
+        seen.append(("fire", engine.now, tag))
+        delays, stop = actions[tag % len(actions)]
+        if stop:
+            engine.stop()
+        if depth < 3:
+            for i, delay in enumerate(delays):
+                child = tag * 4 + i + 1
+                how = child % 3
+                if how == 0:
+                    engine.post(engine.now + delay, fire, child, depth + 1)
+                elif how == 1:
+                    engine.at(engine.now + delay, fire, child, depth + 1)
+                else:
+                    engine.after(delay, fire, child, depth + 1)
+
+    def watch():
+        seen.append(("watch", engine.now, engine.events_processed,
+                     engine.pending, engine.next_event_time()))
+
+    def observe(result):
+        seen.append(("ret", result, engine.now, engine.events_processed,
+                     engine.pending, engine.next_event_time()))
+
+    for tag, (time, use_post) in enumerate(initial):
+        (engine.post if use_post else engine.at)(time, fire, tag, 0)
+    if watch_interval:
+        engine.add_watcher(watch, watch_interval)
+    observe(None)
+    for call in plan:
+        if call[0] == "step":
+            observe(engine.step())
+        else:
+            observe(engine.run(until=call[1], max_events=call[2]))
+    while engine.pending:           # resume after every stop() to the end
+        observe(engine.run())
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.lists(st.tuples(st.integers(0, 30), st.booleans()),
+                        max_size=25),
+       actions=actions_st, plan=run_plan_st,
+       watch_interval=st.sampled_from([0, 1, 3, 7]))
+def test_engine_matches_heap_model(initial, actions, plan, watch_interval):
+    expected = _drive(HeapModel(), initial, actions, plan, watch_interval)
+    assert _drive(Engine(), initial, actions, plan,
+                  watch_interval) == expected

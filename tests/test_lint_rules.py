@@ -242,6 +242,26 @@ def test_ss204_raw_heap_scheduling_fires():
     one(findings, "SS204")
 
 
+def test_ss205_enum_member_in_hot_function_fires():
+    findings = lint("""
+        from repro.sim.request import AccessType
+        def lookup(req):  # hot: per-access tag check
+            return req.rtype == AccessType.RFO
+        """)
+    assert "AccessType.RFO" in one(findings, "SS205").message
+
+
+def test_ss205_module_constant_and_cold_use_are_clean():
+    assert lint("""
+        from repro.sim.request import AccessType
+        _RFO = AccessType.RFO
+        def lookup(req):  # hot: per-access tag check
+            return req.rtype == _RFO
+        def summary(stats):
+            return stats[AccessType.LOAD] + stats[AccessType.RFO]
+        """) == []
+
+
 # ----------------------------------------------------------------------
 # SS3xx API hygiene
 # ----------------------------------------------------------------------

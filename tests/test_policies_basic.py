@@ -48,7 +48,8 @@ def test_registry_warns_on_dropped_non_context_kwargs(caplog):
     import repro.policies.registry as registry
     registry._warned_drops.clear()
     with caplog.at_level(logging.WARNING, logger="repro.policies.registry"):
-        make_policy("lru", sets=4, ways=2, shct_bits=14)   # typo'd override
+        with pytest.warns(DeprecationWarning, match="shct_bits"):
+            make_policy("lru", sets=4, ways=2, shct_bits=14)   # typo'd override
     assert any("shct_bits" in r.message and "lru" in r.message
                for r in caplog.records)
     # ... but only once per (policy, argument-set) combination

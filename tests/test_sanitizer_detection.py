@@ -69,14 +69,10 @@ def test_healthy_system_passes_all_invariants(small_trace, engine_name):
 # SAN-TIME — event-time monotonicity
 # ----------------------------------------------------------------------
 def _schedule_in_the_past(engine):
-    """Inject an event before ``now`` into whichever queue the engine has."""
+    """Inject an event before ``now`` straight into the calendar."""
     t = engine.now - 1
-    if hasattr(engine, "_buckets"):     # calendar queue (batched)
-        engine._buckets.setdefault(t, []).append((lambda: None, ()))
-        heappush(engine._times, t)
-    else:                               # classic heap
-        heappush(engine._heap,  # simsan: skip=SS204 (deliberate fault injection)
-                 (t, -1, lambda: None, ()))
+    engine._buckets.setdefault(t, []).append((lambda: None, ()))
+    heappush(engine._times, t)
 
 
 def test_event_scheduled_in_the_past_trips_san_time(small_trace, engine_name):
