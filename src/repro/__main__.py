@@ -297,8 +297,7 @@ def _cmd_run(args) -> int:
         specs = [ExperimentSpec.multicopy(
                      args.workload, policy, n_cores=args.cores,
                      prefetch=args.prefetch, suite=suite,
-                     n_records=args.records // 2, seed=args.seed,
-                     engine=args.engine)
+                     n_records=args.records // 2, seed=args.seed)
                  for policy in args.policies]
         ctx, incidents = _supervision_from_args(
             args, tag=f"run-{args.workload}")
@@ -366,12 +365,6 @@ def _cmd_sweep(args) -> int:
         for name, title in available_sweeps():
             print(f"{name:8s} {title}")
         return 0
-    if args.engine:
-        # Same mechanism as --sanitize: pool workers inherit through the
-        # environment.  REPRO_ENGINE re-executes the sweep's specs under
-        # the named (bit-identical) backend without changing their keys.
-        import os
-        os.environ["REPRO_ENGINE"] = args.engine
     if args.sanitize:
         _enable_sanitizer()
     _enable_trace_cache(args)
@@ -512,8 +505,6 @@ def _cmd_campaign(args) -> int:
     from .harness.supervise import (ManifestPersistError, SweepFailedError,
                                     SweepInterrupted)
 
-    if args.engine:
-        os.environ["REPRO_ENGINE"] = args.engine
     if args.sanitize:
         _enable_sanitizer()
     _enable_trace_cache(args)
@@ -575,7 +566,7 @@ def _cmd_perf(args) -> int:
             repeat=max(2, args.repeat),
             records=(SWEEP_SMOKE_RECORDS if args.smoke
                      else SWEEP_GRID_RECORDS),
-            engine=args.engine, progress=not args.quiet)
+            progress=not args.quiet)
         out = args.out
         if out is None:
             out = "BENCH_perf.smoke.json" if args.smoke else DEFAULT_OUTPUT
@@ -637,7 +628,7 @@ def _cmd_perf(args) -> int:
         return 0
     try:
         payload = run_suite(args.cases, repeat=args.repeat, smoke=args.smoke,
-                            progress=not args.quiet, engine=args.engine)
+                            progress=not args.quiet)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -941,9 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable the runtime invariant sanitizer "
                           "(REPRO_SANITIZE=1; store-cached points are not "
                           "re-simulated — add --no-store to force checking)")
-    run.add_argument("--engine", default="classic", metavar="NAME",
-                     help="engine backend (classic|batched; bit-identical "
-                          "— part of the spec fingerprint)")
     run.add_argument("--trace-cache", default=None, metavar="DIR",
                      help="content-addressed trace cache directory, or "
                           "'off' (default ~/.cache/repro-care/traces; "
@@ -973,10 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sanitize", action="store_true",
                        help="enable the runtime invariant sanitizer for "
                             "every freshly simulated point")
-    sweep.add_argument("--engine", default=None, metavar="NAME",
-                       help="engine backend for fresh simulation "
-                            "(exports REPRO_ENGINE so pool workers "
-                            "inherit it; bit-identical to classic)")
     sweep.add_argument("--trace-cache", default=None, metavar="DIR",
                        help="content-addressed trace cache directory, or "
                             "'off' (default ~/.cache/repro-care/traces; "
@@ -1000,9 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "BENCH_perf.smoke.json with --smoke)")
     perf.add_argument("--quiet", action="store_true",
                       help="suppress per-case progress lines")
-    perf.add_argument("--engine", default=None, metavar="NAME",
-                      help="engine backend to benchmark (default: classic "
-                           "unless REPRO_ENGINE overrides)")
     perf.add_argument("--diff", nargs=2, metavar=("BASE", "FRESH"),
                       help="print a markdown trend table comparing two "
                            "payload files instead of running the suite")
@@ -1049,9 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--sanitize", action="store_true",
                       help="enable the runtime invariant sanitizer for "
                            "every freshly simulated point")
-    crun.add_argument("--engine", default=None, metavar="NAME",
-                      help="engine backend for fresh simulation "
-                           "(exports REPRO_ENGINE; bit-identical)")
     crun.add_argument("--trace-cache", default=None, metavar="DIR",
                       help="content-addressed trace cache directory, or "
                            "'off' (equivalent to REPRO_TRACE_CACHE)")

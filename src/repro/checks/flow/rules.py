@@ -147,12 +147,9 @@ TAINT_SINK_DOMAIN = ("repro.sim", "repro.core")
 #: Reviewed functions taint does not flow through.  Each entry is a
 #: sanctioned boundary: either the seeded-rng / env-snapshot plumbing
 #: itself, or an accessor whose result provably cannot change a
-#: SimResult (engine selection is bit-identical by the golden
-#: cross-backend CI job; the trace cache is content-addressed).
+#: SimResult (the trace cache is content-addressed; observers and
+#: save-states are golden-enforced byte-identical).
 TAINT_SANITIZERS: FrozenSet[str] = frozenset({
-    # engine selection: bit-identical backends, golden-enforced
-    "repro.sim.backends.engine_from_env",
-    "repro.sim.backends.resolve_engine",
     # lazy benchmark scaling: resolved before trace generation, part of
     # the spec fingerprint
     "repro.harness.scale.BenchScale.resolve",
@@ -194,8 +191,6 @@ WORKER_ENV_API: FrozenSet[str] = frozenset({
     "repro.harness.turbo.worker_env_snapshot",
     "repro.harness.turbo._apply_env",
     "repro.harness.turbo.resolve_pool_mode",
-    "repro.sim.backends.engine_from_env",
-    "repro.sim.backends.resolve_engine",
     "repro.harness.scale.BenchScale.resolve",
     "repro.harness.supervise.RetryPolicy.from_env",
     "repro.harness.supervise.compute_timeout",
@@ -215,8 +210,8 @@ WORKER_ENV_API: FrozenSet[str] = frozenset({
 
 #: Decorator-registry indirection: resolver function -> the decorator
 #: whose decorated classes/functions it can instantiate by name.
-#: (String-table registries like ``repro.sim.backends._BUILTINS`` are
-#: discovered structurally and need no manifest.)
+#: (String-table registries — dict literals of ``"module:Class"``
+#: values — are discovered structurally and need no manifest.)
 REGISTRY_RESOLVERS: Dict[str, str] = {
     "repro.policies.registry.make_policy": "repro.policies.registry.register",
 }

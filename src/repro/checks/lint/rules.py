@@ -247,19 +247,6 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.core.sht.SignatureHistoryTable.rc_decrement",
     "repro.core.sht.SignatureHistoryTable.pd_increment",
     "repro.core.sht.SignatureHistoryTable.pd_decrement",
-    # Batched backend (DESIGN.md §13) — same per-event discipline.
-    "repro.sim.batched.cache.BatchedCache.access",
-    "repro.sim.batched.cache.BatchedCache._lookup",
-    "repro.sim.batched.cache.BatchedCache._start_miss",
-    "repro.sim.batched.cache.BatchedCache._fill_from_child",
-    "repro.sim.batched.cache.BatchedCache._install",
-    "repro.sim.batched.cache.BatchedCache._retry_pending",
-    "repro.sim.batched.cache.BatchedCache._issue_prefetch",
-    "repro.sim.batched.cache.BatchedCache._writeback",
-    "repro.sim.batched.cache.BatchedCache._drop_mapping",
-    "repro.sim.batched.cache.BatchedCache.invalidate",
-    "repro.sim.batched.cpu.BatchedCore._dispatch",
-    "repro.sim.batched.cpu.BatchedCore._complete_cb",
 })
 
 #: Modules allowed to touch the raw event queue (SS204): the engine owns

@@ -28,10 +28,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..sim.backends import build_system, resolve_engine
+from ..sim.system import System
 from .spec import ExperimentSpec
 
-#: v2: payloads and cases record the engine backend that produced them.
+#: v2: payloads recorded the engine backend.  With one engine left the
+#: ``engine`` keys are gone; each case's ``spec`` still carries it.
 SCHEMA_VERSION = 2
 
 #: Default output file, written into the current directory.
@@ -56,11 +57,10 @@ SMOKE_RECORDS = 400
 def _build_system(spec: ExperimentSpec, traces: List[Sequence]):
     """The machine :meth:`ExperimentSpec.execute` would build."""
     n = min(len(t) for t in traces)
-    return build_system(spec.build_config(), traces, engine=spec.engine,
-                        llc_policy=spec.policy,
-                        prefetch=spec.prefetch, seed=spec.seed,
-                        measure_records=n // 2, warmup_records=n // 2,
-                        collect_deltas=spec.collect_deltas)
+    return System(spec.build_config(), traces, llc_policy=spec.policy,
+                  prefetch=spec.prefetch, seed=spec.seed,
+                  measure_records=n // 2, warmup_records=n // 2,
+                  collect_deltas=spec.collect_deltas)
 
 
 def run_case(spec: ExperimentSpec, repeat: int = 3) -> Dict:
@@ -85,7 +85,6 @@ def run_case(spec: ExperimentSpec, repeat: int = 3) -> Dict:
     best = min(walls)
     return {
         "spec": spec.to_dict(),
-        "engine": spec.engine,
         "repeat": repeat,
         "wall_s": [round(w, 6) for w in walls],
         "best_wall_s": round(best, 6),
@@ -98,24 +97,16 @@ def run_case(spec: ExperimentSpec, repeat: int = 3) -> Dict:
 
 def run_suite(cases: Optional[Sequence[str]] = None, repeat: int = 3,
               smoke: bool = False,
-              progress: bool = False,
-              engine: Optional[str] = None) -> Dict:
-    """Run the named cases (default: all) and assemble the JSON payload.
-
-    ``engine`` selects the backend to benchmark (``REPRO_ENGINE``
-    overrides, then ``--engine``/this argument, else ``classic``) —
-    backends are bit-identical, so per-case records/events match across
-    engines and only the wall clock moves.
-    """
+              progress: bool = False) -> Dict:
+    """Run the named cases (default: all) and assemble the JSON payload."""
     names = list(cases) if cases else sorted(PERF_CASES)
     unknown = [n for n in names if n not in PERF_CASES]
     if unknown:
         raise KeyError(f"unknown perf cases {unknown}; "
                        f"available: {sorted(PERF_CASES)}")
-    engine = resolve_engine(engine)
     results: Dict[str, Dict] = {}
     for name in names:
-        spec = replace(PERF_CASES[name], engine=engine)
+        spec = PERF_CASES[name]
         if smoke:
             spec = replace(spec, n_records=SMOKE_RECORDS)
         if progress:
@@ -137,7 +128,6 @@ def run_suite(cases: Optional[Sequence[str]] = None, repeat: int = 3,
         "platform": platform.platform(),
         "fingerprint": code_fingerprint()[:16],
         "smoke": smoke,
-        "engine": engine,
         "cases": results,
     }
 
@@ -157,12 +147,11 @@ SWEEP_GRID_RECORDS = 150
 SWEEP_SMOKE_RECORDS = 80
 
 
-def sweep_grid(records: int = SWEEP_GRID_RECORDS,
-               engine: str = "classic") -> List[ExperimentSpec]:
+def sweep_grid(records: int = SWEEP_GRID_RECORDS) -> List[ExperimentSpec]:
     """The pinned sweep-benchmark grid (9 points)."""
     return [ExperimentSpec.multicopy(w, p, n_cores=1, prefetch=False,
                                      n_records=records, seed=3,
-                                     preset="tiny", engine=engine)
+                                     preset="tiny")
             for w in SWEEP_GRID_WORKLOADS for p in SWEEP_GRID_POLICIES]
 
 
@@ -186,8 +175,7 @@ def _run_sweep_phase(specs: Sequence[ExperimentSpec], workers: int) -> Dict:
 
 
 def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
-                        workers: int = 2, engine: Optional[str] = None,
-                        progress: bool = False) -> Dict:
+                        workers: int = 2, progress: bool = False) -> Dict:
     """Interleaved sweep-throughput comparison; returns the payload section.
 
     Each round runs the pinned grid twice on the same machine state:
@@ -207,8 +195,7 @@ def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
 
     if repeat < 2:
         raise ValueError("repeat must be >= 2 (round 0 is the cold round)")
-    engine = resolve_engine(engine)
-    specs = sweep_grid(records, engine)
+    specs = sweep_grid(records)
     saved = {k: os.environ.get(k) for k in (POOL_ENV, TRACE_CACHE_ENV)}
     baseline: List[Dict] = []
     cold: Dict = {}
@@ -252,7 +239,7 @@ def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
             "workloads": list(SWEEP_GRID_WORKLOADS),
             "policies": list(SWEEP_GRID_POLICIES),
             "n_cores": 1, "n_records": records, "preset": "tiny",
-            "points": len(specs), "engine": engine,
+            "points": len(specs),
         },
         "workers": workers,
         "repeat": repeat,
@@ -274,7 +261,7 @@ def format_sweep_payload(section: Dict) -> str:
         f"sweep throughput ({grid['points']} points: "
         f"{len(grid['workloads'])} workloads x {len(grid['policies'])} "
         f"policies, {grid['n_records']} records, preset {grid['preset']}, "
-        f"engine {grid['engine']}, workers={section['workers']})",
+        f"workers={section['workers']})",
         f"  baseline (spawn pool, cache off): "
         f"{section['baseline']['best_points_per_s']:.2f} points/s",
         f"  turbo cold (warm pool, cold cache): "
@@ -319,14 +306,9 @@ def diff_payloads(base: Dict, fresh: Dict) -> str:
     ``n/a``; a smoke/full or fingerprint mismatch is called out under the
     table because records/s values are then not directly comparable.
     """
-    b_engine = base.get("engine", "classic")
-    f_engine = fresh.get("engine", "classic")
-    cross_engine = b_engine != f_engine
-    speedup_head = (f" {b_engine}→{f_engine} ×" if cross_engine
-                    else " ev/s ×")
     lines = [
         "| case | base rec/s | fresh rec/s | Δ rec/s | base ev/s "
-        f"| fresh ev/s |{speedup_head} |",
+        "| fresh ev/s | ev/s × |",
         "|---|---:|---:|---:|---:|---:|---:|",
     ]
     names = sorted(set(base.get("cases", {})) | set(fresh.get("cases", {})))
@@ -349,10 +331,6 @@ def diff_payloads(base: Dict, fresh: Dict) -> str:
                      f"{b_ev:,.0f}", f"{f_ev:,.0f}", f"{ratio:.2f}x"]
         lines.append("| " + " | ".join([name] + cells) + " |")
     notes = []
-    if cross_engine:
-        notes.append(f"cross-engine comparison: base={b_engine}, "
-                     f"fresh={f_engine} (backends are bit-identical; the "
-                     "× column is the engine speedup)")
     if base.get("smoke") != fresh.get("smoke"):
         notes.append("payloads mix smoke and full-size traces — absolute "
                      "numbers are not comparable")
@@ -385,7 +363,7 @@ def _comparable_sweep_section(base: Dict, fresh_section: Dict) -> Optional[Dict]
 
     ``BENCH_perf.json`` carries the full-size grid under ``sweep`` and
     the CI-sized grid under ``sweep_smoke``; points/s values are only
-    comparable when the grid (records, point count, engine) is the same.
+    comparable when the grid (records and point count) is the same.
     """
     grid = fresh_section.get("grid", {})
     for key in ("sweep", "sweep_smoke"):
@@ -394,8 +372,7 @@ def _comparable_sweep_section(base: Dict, fresh_section: Dict) -> Optional[Dict]
             continue
         bgrid = section.get("grid", {})
         if (bgrid.get("n_records") == grid.get("n_records")
-                and bgrid.get("points") == grid.get("points")
-                and bgrid.get("engine") == grid.get("engine")):
+                and bgrid.get("points") == grid.get("points")):
             return section
     return None
 
@@ -419,7 +396,7 @@ def gate_sweep_regression(base: Dict, fresh: Dict,
     section = _comparable_sweep_section(base, fresh_section)
     if section is None:
         return "skip", ("no comparable sweep baseline in BENCH_perf.json "
-                        "(grid records/points/engine mismatch)")
+                        "(grid records/points mismatch)")
     base_pts = section["turbo_warm"]["best_points_per_s"]
     fresh_pts = fresh_section["turbo_warm"]["best_points_per_s"]
     if base_pts <= 0:
@@ -469,7 +446,6 @@ def format_payload(payload: Dict) -> str:
     header = ["case", "records", "events", "best wall (s)",
               "records/s", "events/s"]
     title = (f"simulation-kernel throughput (python {payload['python']}, "
-             f"engine {payload.get('engine', 'classic')}, "
              f"best of {next(iter(payload['cases'].values()))['repeat']}"
              f"{', smoke' if payload.get('smoke') else ''})")
     return title + "\n" + format_table(header, rows)

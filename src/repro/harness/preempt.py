@@ -222,7 +222,7 @@ class CheckpointPolicy:
     """Cadence-driven save-state writer + preempt-request consumer.
 
     Lives on the engine's watcher mux; :meth:`_tick` runs at watcher
-    boundaries where both engines have settled their counters, which is
+    boundaries where the engine has settled its counters, which is
     what makes the saved state resume phase-exact.  The policy pickles
     inside the save-state (it is registered in ``engine._watchers`` and
     on ``System.checkpoint``); only the process-local wall-clock

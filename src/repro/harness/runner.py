@@ -40,10 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from dataclasses import replace as dc_replace
-
 from ..checks.chaos import chaos_from_env, inject_execute
-from ..sim.backends import ENGINE_ENV
 from ..sim.stats import SimResult
 from .spec import ExperimentSpec
 from .store import ResultStore, default_store
@@ -178,23 +175,6 @@ def _resolve_store(store) -> Optional[ResultStore]:
     return store
 
 
-def _normalize_engine(spec: ExperimentSpec) -> ExperimentSpec:
-    """Fold an active ``REPRO_ENGINE`` override into the spec itself.
-
-    ``ExperimentSpec.execute`` honors the env var anyway (backend
-    selection precedence), but leaving it implicit records the *wrong*
-    engine in memo keys, store entries, and pool-worker task messages.
-    Rewriting the spec makes the override explicit everywhere — a sweep
-    under ``REPRO_ENGINE=batched`` stores every result as
-    ``engine=batched``, and workers receive the selection in the spec
-    rather than trusting inherited environment.
-    """
-    env = os.environ.get(ENGINE_ENV, "").strip()
-    if env and spec.engine != env:
-        return dc_replace(spec, engine=env)
-    return spec
-
-
 def _progress_printer(stats: SweepStats, spec: Optional[ExperimentSpec],
                       event: str) -> None:
     if spec is not None:
@@ -225,7 +205,6 @@ def run(spec: ExperimentSpec, store=USE_DEFAULT_STORE,
     """
     if obs is not None and obs.enabled:
         force = True
-    spec = _normalize_engine(spec)
     if not force and spec in _MEMO:
         session_stats.points += 1
         session_stats.memo_hits += 1
@@ -280,7 +259,6 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
     (the default under an active supervisor, which collects the failures
     for the CLI's failure table).
     """
-    specs = [_normalize_engine(s) for s in specs]
     sup = active_supervisor()
     if keep_going is None:
         keep_going = sup.keep_going if sup is not None else True

@@ -32,9 +32,9 @@ CONFIG_PRESETS = {
 }
 
 #: Bump when spec semantics change in a way that invalidates stored keys.
-#: v2: ``engine`` backend name joined the spec (participates in the
-#: store fingerprint even though backends are bit-identical — a cached
-#: result records exactly which engine produced it).
+#: v2: ``engine`` backend name joined the spec.  Only ``"classic"`` is
+#: left, but the field stays part of every key so stored results,
+#: sweep manifests and campaign ledgers keep their addresses.
 SPEC_SCHEMA_VERSION = 2
 
 
@@ -52,7 +52,7 @@ class ExperimentSpec:
     collect_deltas: bool = False
     mix_id: Optional[int] = None  # set iff suite == "mix"
     preset: str = "default"       # CONFIG_PRESETS key
-    engine: str = "classic"       # repro.sim.backends name (bit-identical)
+    engine: str = "classic"       # the only engine; kept for spec keys
 
     def __post_init__(self) -> None:
         if self.suite == "mix":
@@ -80,16 +80,14 @@ class ExperimentSpec:
                   prefetch: bool = True, suite: str = "spec",
                   n_records: Optional[int] = None, seed: int = 3,
                   collect_deltas: bool = False,
-                  preset: str = "default",
-                  engine: str = "classic") -> "ExperimentSpec":
+                  preset: str = "default") -> "ExperimentSpec":
         """Multi-copy workload point (Figs. 3, 7-9, 11-14, Tables X-XI)."""
         from .scale import get_scale
         return cls(workload=workload, policy=policy, n_cores=n_cores,
                    prefetch=prefetch, suite=suite,
                    n_records=(get_scale().records if n_records is None
                               else n_records),
-                   seed=seed, collect_deltas=collect_deltas, preset=preset,
-                   engine=engine)
+                   seed=seed, collect_deltas=collect_deltas, preset=preset)
 
     @classmethod
     def single(cls, workload: str, policy: str = "lru",
@@ -104,14 +102,14 @@ class ExperimentSpec:
     @classmethod
     def mix(cls, mix_id: int, policy: str, n_cores: int = 4,
             prefetch: bool = True, n_records: Optional[int] = None,
-            seed: int = 3, engine: str = "classic") -> "ExperimentSpec":
+            seed: int = 3) -> "ExperimentSpec":
         """Fig. 10 mixed-workload point."""
         from .scale import get_scale
         return cls(workload="", policy=policy, n_cores=n_cores,
                    prefetch=prefetch, suite="mix",
                    n_records=(get_scale().records if n_records is None
                               else n_records),
-                   seed=seed, mix_id=mix_id, engine=engine)
+                   seed=seed, mix_id=mix_id)
 
     # -- identity -------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -171,10 +169,9 @@ class ExperimentSpec:
         ``REPRO_OBS_DIR`` so pool workers inherit observability settings
         through the environment, mirroring ``REPRO_SANITIZE``.
 
-        The engine backend is ``self.engine`` unless ``REPRO_ENGINE``
-        overrides it (the CI cross-backend job re-executes fixture specs
-        under another backend this way; backends are bit-identical, so
-        the override cannot change the result).
+        A spec whose ``engine`` is not ``"classic"`` (a stored result of
+        the removed batched backend) raises ``ValueError``: it can still
+        be served from the store, but not re-simulated.
 
         When checkpointing is enabled (``REPRO_CKPT_DIR`` — see
         :mod:`repro.harness.preempt`) a valid save-state for this spec is

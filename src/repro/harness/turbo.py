@@ -24,9 +24,9 @@ selects this one.
 One semantic addition the spawn pool never needed: workers outlive env
 changes in the parent, so every task ships a snapshot of the parent's
 ``REPRO_*`` environment (:func:`worker_env_snapshot`) and the worker
-applies it before executing — engine selection, chaos profile, and
-trace-cache location follow the parent explicitly instead of relying on
-fork-time inheritance.
+applies it before executing — sanitizer, chaos profile, and trace-cache
+location follow the parent explicitly instead of relying on fork-time
+inheritance.
 """
 
 from __future__ import annotations
@@ -523,13 +523,9 @@ _ATEXIT_REGISTERED = False
 
 
 def _register_atexit() -> None:
-    # SS601: parent-side pool lifecycle.  Workers never start a nested
-    # pool (flow reaches here only through an over-approximate
-    # name-fallback edge on `.run`), and the write is an idempotent
-    # once-only latch even if they did.
     global _ATEXIT_REGISTERED
     if not _ATEXIT_REGISTERED:
-        _ATEXIT_REGISTERED = True  # simsan: skip=SS601
+        _ATEXIT_REGISTERED = True
         atexit.register(shutdown_shared_pool)
 
 
@@ -550,9 +546,7 @@ def shared_pool(n_workers: int) -> PersistentPool:
 
 def shutdown_shared_pool() -> None:
     """Stop the shared pool's workers (idempotent; atexit-registered)."""
-    # SS601: parent-side teardown; clearing the handle is idempotent
-    # and a worker process has no shared pool to clear.
     global _SHARED
     if _SHARED is not None:
         _SHARED.shutdown()
-        _SHARED = None  # simsan: skip=SS601
+        _SHARED = None

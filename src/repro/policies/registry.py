@@ -73,7 +73,10 @@ def make_policy(name: str, sets: int, ways: int, seed: int = 0,
     if not accepts_var:
         dropped = frozenset(kwargs) - set(params) - CONTEXT_KWARGS
         if dropped and (name, dropped) not in _warned_drops:
-            _warned_drops.add((name, dropped))
+            # SS601: warn-once latch; a warm worker warns once per
+            # process instead of once per task, and results never
+            # depend on it.
+            _warned_drops.add((name, dropped))  # simsan: skip=SS601
             import warnings
             warnings.warn(
                 f"policy {name!r} does not accept constructor kwargs "
@@ -96,7 +99,9 @@ def _ensure_loaded() -> None:
     global _loaded
     if _loaded:
         return
-    _loaded = True
+    # SS601: idempotent import latch; every process ends up with the
+    # same registry, whichever task loads it first.
+    _loaded = True  # simsan: skip=SS601
     from . import (  # noqa: F401
         fifo, lfu, lru, random_policy, srrip, drrip, dip, rlr, eaf,
         ship, shippp, sbar, lacs, hawkeye, glider, mockingjay, opt,

@@ -107,10 +107,6 @@ class SystemConfig:
     #: ChampSim LLC is non-inclusive, the default here)
     llc_inclusive: bool = False
     dram: DRAMConfig = field(default_factory=DRAMConfig)
-    #: engine backend name ("classic" | "batched" | any registered name);
-    #: resolved through :mod:`repro.sim.backends` by ``simulate()`` —
-    #: backends are bit-identical, so this is purely a throughput knob
-    engine: str = "classic"
 
     def __post_init__(self) -> None:
         if self.n_cores < 1:

@@ -46,12 +46,6 @@ _WRITEBACK = AccessType.WRITEBACK
 _next_request_id = 0
 
 
-def _take_request_id() -> int:
-    global _next_request_id
-    _next_request_id += 1
-    return _next_request_id
-
-
 class MemRequest:
     """One memory access in flight.
 
@@ -77,7 +71,11 @@ class MemRequest:
         self.created = created
         self.callback = callback
         if req_id is None:
-            _next_request_id += 1
+            # SS601: a process-wide label counter, in a warm worker as in
+            # a serial sweep.  Only the tracer and sanitizer messages read
+            # req_id, so it never reaches a SimResult; save-states carry
+            # it so resumed traces keep the uninterrupted numbering.
+            _next_request_id += 1  # simsan: skip=SS601
             req_id = _next_request_id
         self.req_id = req_id
 

@@ -1,4 +1,4 @@
-"""Versioned in-flight save-states for both simulator backends.
+"""Versioned in-flight save-states of a running simulator.
 
 A save-state captures the *entire* deterministic machine mid-run — the
 :class:`~repro.sim.engine.Engine` (calendar buckets, time, live drain
@@ -6,7 +6,7 @@ cursor normalized away), every cache/MSHR/core/DRAM component, the PML
 concurrency monitor, attached observers, and the module-level
 request-id counter — so that *restore-then-run is byte-identical to an
 uninterrupted run*.  The golden checkpoint suite pins that invariant on
-every fixture under both backends.
+every fixture.
 
 Snapshots are only meaningful at a **watcher boundary**: the engine
 settles ``events_processed``, resets the loop countdown, and exposes the

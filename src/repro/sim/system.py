@@ -36,22 +36,12 @@ _CORE_STAGGER = 17
 
 
 class System:
-    """One simulated machine ready to :meth:`run`.
-
-    Subclass hook: backends (DESIGN.md §13) swap the component classes
-    below — the wiring in ``__init__`` is shared, so a backend only
-    provides faster parts, never different topology.
-    """
+    """One simulated machine ready to :meth:`run`."""
 
     __slots__ = ("cfg", "prefetch", "max_events", "engine", "dram",
                  "llc_policy", "monitor", "llc", "l1s", "l2s", "cores",
                  "_finished", "_warm", "warmup_records", "sanitize",
                  "sanitizer", "obs", "sampler", "tracer", "checkpoint")
-
-    #: component classes; backend subclasses override these
-    engine_cls = Engine
-    cache_cls = Cache
-    core_cls = Core
 
     def __init__(self, cfg: SystemConfig, traces: Sequence[Sequence],
                  llc_policy: Union[str, PolicyFactory] = "lru",
@@ -82,7 +72,7 @@ class System:
         #: optional :class:`~repro.harness.preempt.CheckpointPolicy`;
         #: installs last in :meth:`run` and travels inside save-states
         self.checkpoint = checkpoint
-        self.engine = self.engine_cls()
+        self.engine = Engine()
 
         # Memory side ------------------------------------------------------
         from .memctrl import make_memory
@@ -95,9 +85,9 @@ class System:
         self.monitor = ConcurrencyMonitor(
             self.engine, cfg.n_cores, llc_cfg.latency,
             collect_deltas=collect_deltas)
-        self.llc = self.cache_cls(llc_cfg, self.engine, self.llc_policy,
-                                  lower=self.dram, monitor=self.monitor,
-                                  inclusive=cfg.llc_inclusive)
+        self.llc = Cache(llc_cfg, self.engine, self.llc_policy,
+                         lower=self.dram, monitor=self.monitor,
+                         inclusive=cfg.llc_inclusive)
 
         # Private levels and cores ------------------------------------------
         self.l1s: List[Cache] = []
@@ -115,20 +105,19 @@ class System:
         for core_id in range(cfg.n_cores):
             l2_pf = IPStridePrefetcher() if prefetch else None
             l1_pf = NextLinePrefetcher() if prefetch else None
-            l2 = self.cache_cls(self._named(cfg.l2, core_id), self.engine,
-                                LRUPolicy(cfg.l2.sets, cfg.l2.ways, seed),
-                                lower=self.llc, prefetcher=l2_pf)
-            l1 = self.cache_cls(self._named(cfg.l1, core_id), self.engine,
-                                LRUPolicy(cfg.l1.sets, cfg.l1.ways, seed),
-                                lower=l2, prefetcher=l1_pf)
-            core = self.core_cls(core_id, self.engine, l1, traces[core_id],
-                                 cfg.core,
-                                 measure_records=measure_records,
-                                 warmup_records=warmup_records,
-                                 replay=True,
-                                 start_offset=core_id * _CORE_STAGGER,
-                                 on_finish=self._core_finished,
-                                 on_warm=self._core_warm)
+            l2 = Cache(self._named(cfg.l2, core_id), self.engine,
+                       LRUPolicy(cfg.l2.sets, cfg.l2.ways, seed),
+                       lower=self.llc, prefetcher=l2_pf)
+            l1 = Cache(self._named(cfg.l1, core_id), self.engine,
+                       LRUPolicy(cfg.l1.sets, cfg.l1.ways, seed),
+                       lower=l2, prefetcher=l1_pf)
+            core = Core(core_id, self.engine, l1, traces[core_id], cfg.core,
+                        measure_records=measure_records,
+                        warmup_records=warmup_records,
+                        replay=True,
+                        start_offset=core_id * _CORE_STAGGER,
+                        on_finish=self._core_finished,
+                        on_warm=self._core_warm)
             self.l1s.append(l1)
             self.l2s.append(l2)
             self.cores.append(core)
@@ -240,17 +229,9 @@ class System:
         and break byte-identity with the uninterrupted run.  The
         checkpoint policy only re-arms its process-local wall clock.
         """
-        self._relink()
         if self.checkpoint is not None:
             self.checkpoint.rearm()
         return self._complete()
-
-    def _relink(self) -> None:
-        """Backend hook: restore intra-machine aliases after unpickling.
-
-        The classic machine has none; the batched backend re-binds the
-        caches' inlined engine-calendar references here.
-        """
 
     def _complete(self) -> SimResult:
         """Drive the engine to completion and build the result.
@@ -322,14 +303,13 @@ def simulate(traces: Sequence[Sequence], *args: Any, **kwargs: Any) -> SimResult
     """One-call convenience wrapper: build a system and run it.
 
     Keyword parameters: ``cfg``, ``llc_policy``, ``prefetch``, ``seed``,
-    ``measure_records``, ``warmup_records``, ``collect_deltas``, ``obs``,
-    and ``engine`` (a :mod:`repro.sim.backends` name; default resolves
-    ``REPRO_ENGINE`` -> ``cfg.engine`` -> ``"classic"``).
+    ``measure_records``, ``warmup_records``, ``collect_deltas`` and
+    ``obs``.
 
     .. deprecated::
         Passing the optional parameters positionally (``simulate(traces,
         cfg, "lru", ...)``) is deprecated; use keywords.  The positional
-        form never covered ``engine`` and will be removed.
+        form will be removed.
     """
     if args:
         import warnings
@@ -356,14 +336,11 @@ def _simulate(traces: Sequence[Sequence], cfg: Optional[SystemConfig] = None,
               measure_records: Optional[int] = None,
               warmup_records: Optional[int] = None,
               collect_deltas: bool = False,
-              obs: Optional["ObsConfig"] = None,
-              engine: Optional[str] = None) -> SimResult:
+              obs: Optional["ObsConfig"] = None) -> SimResult:
     if cfg is None:
         cfg = SystemConfig.default(n_cores=len(traces))
-    from .backends import build_system
-    system = build_system(cfg, traces, engine=engine,
-                          llc_policy=llc_policy, prefetch=prefetch,
-                          seed=seed, measure_records=measure_records,
-                          warmup_records=warmup_records,
-                          collect_deltas=collect_deltas, obs=obs)
+    system = System(cfg, traces, llc_policy=llc_policy, prefetch=prefetch,
+                    seed=seed, measure_records=measure_records,
+                    warmup_records=warmup_records,
+                    collect_deltas=collect_deltas, obs=obs)
     return system.run()

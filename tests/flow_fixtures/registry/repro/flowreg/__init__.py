@@ -3,7 +3,7 @@
 A miniature simulator shaped like the real tree so the call-graph tests
 in ``tests/test_flow_analysis.py`` can pin resolution behaviour without
 depending on ``src`` internals: a string-table backend registry
-(``module:Class`` values, like ``repro.sim.backends``), a decorator
-policy registry (like ``repro.policies.registry``), a stored
-bound-method callback, and callbacks scheduled onto the engine.
+(``module:Class`` values), a decorator policy registry (like
+``repro.policies.registry``), a stored bound-method callback, and
+callbacks scheduled onto the engine.
 """

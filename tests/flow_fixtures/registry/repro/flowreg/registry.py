@@ -1,7 +1,7 @@
 """Fixture registries: string-table backends + decorator policies."""
 
-#: Lazily imported backends, name -> "module:Class" (the same structural
-#: shape as ``repro.sim.backends._BUILTINS``).
+#: Lazily imported backends, name -> "module:Class" (the string-table
+#: registry shape the flow analysis links structurally).
 _BACKENDS = {
     "alpha": "repro.flowreg.impl:ImplA",
     "beta": "repro.flowreg.impl:ImplB",

@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "src"))
 
 from repro.checks.sanitize import SanitizerError, sanitize_interval  # noqa: E402
 from repro.harness.spec import ExperimentSpec  # noqa: E402
-from repro.sim.backends import build_system, resolve_engine  # noqa: E402
+from repro.sim import System  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -53,8 +53,7 @@ GOLDEN_SPECS = {
         "433.milc", "mcare", n_cores=1, prefetch=False, n_records=500,
         seed=11, collect_deltas=True),
     # Production-traffic ("serve") families: one fixture per family so
-    # the Zipfian/stream/pointer-chase generators are golden-pinned on
-    # both engines.
+    # the Zipfian/stream/pointer-chase generators are golden-pinned.
     "tiny_2c_lru_serve_kv": ExperimentSpec.multicopy(
         "kv-zipf99", "lru", n_cores=2, prefetch=True, n_records=400,
         seed=3, suite="serve", preset="tiny"),
@@ -68,21 +67,13 @@ GOLDEN_SPECS = {
 
 
 def execute_sanitized(spec: ExperimentSpec):
-    """``spec.execute()`` with the runtime sanitizer force-enabled.
-
-    Routed through :func:`repro.sim.backends.build_system` so the CI
-    cross-backend job can replay every fixture spec under another engine
-    via ``REPRO_ENGINE`` (bit-identity means the fixture bytes must not
-    change).  The fixture *identity* always stays the spec as stored.
-    """
+    """``spec.execute()`` with the runtime sanitizer force-enabled."""
     traces = spec.build_traces()
     n = min(len(t) for t in traces)
-    system = build_system(spec.build_config(), traces,
-                          engine=spec.engine,
-                          llc_policy=spec.policy,
-                          prefetch=spec.prefetch, seed=spec.seed,
-                          measure_records=n // 2, warmup_records=n // 2,
-                          collect_deltas=spec.collect_deltas, sanitize=True)
+    system = System(spec.build_config(), traces, llc_policy=spec.policy,
+                    prefetch=spec.prefetch, seed=spec.seed,
+                    measure_records=n // 2, warmup_records=n // 2,
+                    collect_deltas=spec.collect_deltas, sanitize=True)
     result = system.run()
     return result, system.sanitizer
 
@@ -102,8 +93,7 @@ def main(argv=None) -> int:
             return 1
         payloads[name] = {"name": name, "spec": spec.to_dict(),
                           "result": result.to_dict()}
-        print(f"ran {name} [engine={resolve_engine(spec.engine)}]: "
-              f"cycles={result.sim_cycles} "
+        print(f"ran {name}: cycles={result.sim_cycles} "
               f"events={result.events} sanitizer_sweeps="
               f"{sanitizer.checks_run} (interval {sanitize_interval()})")
 

@@ -5,6 +5,7 @@ the plain ``(time, seq)`` heap it must be indistinguishable from.
 """
 
 import heapq
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -238,3 +239,141 @@ def test_engine_matches_heap_model(initial, actions, plan, watch_interval):
     expected = _drive(HeapModel(), initial, actions, plan, watch_interval)
     assert _drive(Engine(), initial, actions, plan,
                   watch_interval) == expected
+
+
+# ----------------------------------------------------------------------
+# Engine: drain order is the classic (time, seq) heap order
+# ----------------------------------------------------------------------
+def _random_schedule(engine, log, seed, n=200, self_schedule=True):
+    """Schedule n tagged events at random times, some re-scheduling."""
+    r = random.Random(seed)
+
+    def ev(tag):
+        log.append((engine.now, tag))
+        if self_schedule and tag % 7 == 0:
+            # same-cycle re-entry plus a future echo
+            engine.post(engine.now, ev, tag + 10_000)
+            engine.post(engine.now + r.randrange(1, 5), ev, tag + 20_000)
+
+    for tag in range(n):
+        engine.at(r.randrange(0, 50), ev, tag)
+    return log
+
+
+@pytest.mark.parametrize("self_schedule", [False, True])
+def test_drain_order_matches_classic_engine(self_schedule):
+    model, calendar = HeapModel(), Engine()
+    log_c = _random_schedule(model, [], seed=7, self_schedule=self_schedule)
+    log_b = _random_schedule(calendar, [], seed=7, self_schedule=self_schedule)
+    n_c = model.run()
+    n_b = calendar.run()
+    assert log_b == log_c
+    assert n_b == n_c
+    assert calendar.events_processed == model.events_processed
+    assert calendar.now == model.now
+    assert calendar.pending == 0
+
+
+def test_same_cycle_appends_drain_in_the_same_walk():
+    engine = Engine()
+    log = []
+
+    def second():
+        log.append(("second", engine.now))
+
+    def first():
+        log.append(("first", engine.now))
+        engine.post(engine.now, second)   # lands behind, same cycle
+
+    engine.at(3, first)
+    engine.at(5, lambda: log.append(("later", engine.now)))
+    engine.run()
+    assert log == [("first", 3), ("second", 3), ("later", 5)]
+
+
+def test_stop_mid_bucket_preserves_tail_and_resumes():
+    engine = Engine()
+    log = []
+    for tag in range(6):
+        engine.at(4, log.append, tag)
+    engine.at(4, engine.stop)
+    # interleave the stop among the bucket's events
+    bucket = engine._buckets[4]
+    bucket.insert(3, bucket.pop())
+    n1 = engine.run()
+    assert log == [0, 1, 2]
+    assert n1 == 4                       # 3 appends + the stop event
+    assert engine.pending == 3
+    assert engine.next_event_time() == 4
+    n2 = engine.run()
+    assert log == [0, 1, 2, 3, 4, 5]
+    assert n2 == 3
+    assert engine.events_processed == 7
+    assert engine.pending == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"until": 20}, {"max_events": 37}, {"until": 20, "max_events": 37},
+])
+def test_bounded_runs_match_classic_engine(kwargs):
+    model, calendar = HeapModel(), Engine()
+    log_c = _random_schedule(model, [], seed=11)
+    log_b = _random_schedule(calendar, [], seed=11)
+    n_c = model.run(**kwargs)
+    n_b = calendar.run(**kwargs)
+    assert log_b == log_c
+    assert n_b == n_c
+    assert calendar.now == model.now
+    assert calendar.events_processed == model.events_processed
+    # and the leftovers drain identically
+    assert calendar.run() == model.run()
+    assert log_b == log_c
+
+
+def test_step_and_pending_match_classic_engine():
+    model, calendar = HeapModel(), Engine()
+    _random_schedule(model, [], seed=3, n=40, self_schedule=False)
+    _random_schedule(calendar, [], seed=3, n=40, self_schedule=False)
+    while True:
+        assert calendar.pending == model.pending
+        assert calendar.next_event_time() == model.next_event_time()
+        stepped_c, stepped_b = model.step(), calendar.step()
+        assert stepped_b == stepped_c
+        if not stepped_c:
+            break
+        assert calendar.now == model.now
+
+
+def test_scheduling_guards():
+    engine = Engine()
+    engine.at(5, lambda: None)
+    engine.run()
+    with pytest.raises(EngineError):
+        engine.at(engine.now - 1, lambda: None)
+    with pytest.raises(EngineError):
+        engine.after(-1, lambda: None)
+
+
+def test_watcher_multiplexing_parity():
+    model, calendar = HeapModel(), Engine()
+    counts = {"c1": 0, "c2": 0, "b1": 0, "b2": 0}
+    for eng, keys in ((model, ("c1", "c2")), (calendar, ("b1", "b2"))):
+        _random_schedule(eng, [], seed=5, self_schedule=False)
+        fns = []
+        for key in keys:
+            fns.append(lambda k=key: counts.__setitem__(k, counts[k] + 1))
+        eng.add_watcher(fns[0], 16)
+        eng.add_watcher(fns[1], 64)
+        eng.run()
+    calendar.remove_watcher(fns[0])
+    calendar.remove_watcher(fns[1])
+    assert calendar.watcher is None
+    assert counts["b1"] == counts["c1"] > 0
+    assert counts["b2"] == counts["c2"]
+
+
+def test_direct_watcher_assignment_conflicts_with_add_watcher():
+    engine = Engine()
+    engine.watcher = lambda: None
+    with pytest.raises(EngineError):
+        engine.add_watcher(lambda: None, 8)

@@ -449,6 +449,8 @@ def test_repo_hot_manifest_matches_derived_closure():
                    and rep.index.functions[q].hot_tagged}
     # every derived-hot function is either tagged in-file or listed
     assert dunderless <= (set(HOT_PATH_MANIFEST) | tagged_only)
+    # and every listed function is still reached (no stale entries)
+    assert set(HOT_PATH_MANIFEST) <= rep.hot_derived
 
 
 def test_repo_suppressions_all_used():

@@ -3,9 +3,9 @@
 * Every ``repro`` module must be a file git tracks.  An ignore rule once
   matched ``src/repro/obs/`` and kept ``incidents.py`` out of every
   commit while it still imported fine in the working tree.
-* numpy and scipy load only where they are used (GAP graph generation,
-  the batched engine, ``analysis.statistics``), so a SPEC-like simulation
-  process never pays for importing them.
+* numpy and scipy load only where they are used (GAP graph generation
+  and ``analysis.statistics``), so a SPEC-like simulation process never
+  pays for importing them.
 """
 
 import importlib

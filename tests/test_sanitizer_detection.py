@@ -7,7 +7,9 @@ inclusion hole), then runs a full sanitizer sweep and asserts the *right*
 invariant trips — ``SanitizerError.rule`` carries the ID.  A healthy
 mid-flight system must sweep clean, and a sanitized end-to-end run must
 produce a byte-identical result to an unsanitized one (the sanitizer
-observes, never perturbs).
+observes, never perturbs).  Every scenario also runs on a machine
+restored from a save-state, which must come back with consistent
+indexes and with the sanitizer walking the restored components.
 """
 
 from dataclasses import replace
@@ -20,31 +22,37 @@ from repro.checks.sanitize import (ALL_INVARIANTS, SAN_INCL, SAN_MSHR,
                                    Sanitizer, SanitizerError,
                                    attach_sanitizer, sanitize_enabled,
                                    sanitize_interval)
-from repro.sim import SystemConfig
-from repro.sim.backends import build_system
+from repro.sim import System, SystemConfig
 from repro.sim.mshr import MSHREntry
 from repro.sim.request import AccessType, MemRequest
+from repro.sim.savestate import decode_savestate, encode_savestate
 
 
-@pytest.fixture(params=["classic", "batched"])
-def engine_name(request):
-    """Every fault-injection scenario must trip on every backend."""
+@pytest.fixture(params=["fresh", "restored"])
+def machine(request):
+    """Every fault-injection scenario must also trip on a restored machine."""
     return request.param
 
 
-def partial_system(small_trace, engine="classic", inclusive=False,
+def round_trip(system):
+    """``system`` after an encode/decode save-state round trip."""
+    blob = encode_savestate(system, spec_key="k", fingerprint="f")
+    return decode_savestate(blob, spec_key="k", fingerprint="f")
+
+
+def partial_system(small_trace, machine="fresh", inclusive=False,
                    max_events=4000):
     """A system stopped mid-flight with real traffic in every structure."""
     cfg = SystemConfig.tiny(1)
     if inclusive:
         cfg = replace(cfg, llc_inclusive=True)
-    system = build_system(cfg, [small_trace.records], engine=engine,
-                          llc_policy="lru", warmup_records=0)
+    system = System(cfg, [small_trace.records], llc_policy="lru",
+                    warmup_records=0)
     for core in system.cores:
         core.start()
     system.engine.run(max_events=max_events)
     assert system.engine.events_processed == max_events
-    return system
+    return round_trip(system) if machine == "restored" else system
 
 
 def expect_trip(system, rule):
@@ -57,8 +65,8 @@ def expect_trip(system, rule):
 # ----------------------------------------------------------------------
 # Baseline: a healthy mid-flight system sweeps clean
 # ----------------------------------------------------------------------
-def test_healthy_system_passes_all_invariants(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_healthy_system_passes_all_invariants(small_trace, machine):
+    system = partial_system(small_trace, machine)
     san = Sanitizer(system)
     san.check()
     assert san.checks_run == 1
@@ -75,16 +83,16 @@ def _schedule_in_the_past(engine):
     heappush(engine._times, t)
 
 
-def test_event_scheduled_in_the_past_trips_san_time(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_event_scheduled_in_the_past_trips_san_time(small_trace, machine):
+    system = partial_system(small_trace, machine)
     engine = system.engine
     assert engine.now > 1
     _schedule_in_the_past(engine)
     expect_trip(system, SAN_TIME)
 
 
-def test_backwards_engine_time_trips_san_time(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_backwards_engine_time_trips_san_time(small_trace, machine):
+    system = partial_system(small_trace, machine)
     san = Sanitizer(system)
     san.check()                      # records _last_now
     system.engine.now -= 2           # a bug rewinds the clock
@@ -103,8 +111,8 @@ def _populated_set(cache):
     pytest.fail(f"{cache.name} has no valid blocks after the partial run")
 
 
-def test_corrupt_tag_index_mapping_trips_san_tag(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_corrupt_tag_index_mapping_trips_san_tag(small_trace, machine):
+    system = partial_system(small_trace, machine)
     llc = system.llc
     set_idx = _populated_set(llc)
     tag, way = next(iter(llc._tag2way[set_idx].items()))
@@ -112,8 +120,8 @@ def test_corrupt_tag_index_mapping_trips_san_tag(small_trace, engine_name):
     expect_trip(system, SAN_TAG)
 
 
-def test_corrupt_valid_count_trips_san_tag(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_corrupt_valid_count_trips_san_tag(small_trace, machine):
+    system = partial_system(small_trace, machine)
     llc = system.llc
     set_idx = _populated_set(llc)
     llc._valid_count[set_idx] += 1
@@ -129,8 +137,8 @@ def _fake_entry(system, issue_time, block=0x7FFF00):
     return MSHREntry(block, req, issue_time, core=0)
 
 
-def test_leaked_mshr_entry_trips_san_mshr(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_leaked_mshr_entry_trips_san_mshr(small_trace, machine):
+    system = partial_system(small_trace, machine)
     now = system.engine.now
     san = Sanitizer(system)
     stale = _fake_entry(system, issue_time=now - san.mshr_age_limit - 1)
@@ -141,8 +149,8 @@ def test_leaked_mshr_entry_trips_san_mshr(small_trace, engine_name):
     assert "leak" in str(exc_info.value)
 
 
-def test_misfiled_mshr_entry_trips_san_mshr(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_misfiled_mshr_entry_trips_san_mshr(small_trace, machine):
+    system = partial_system(small_trace, machine)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block + 1] = entry   # wrong key
     expect_trip(system, SAN_MSHR)
@@ -151,16 +159,16 @@ def test_misfiled_mshr_entry_trips_san_mshr(small_trace, engine_name):
 # ----------------------------------------------------------------------
 # SAN-WAITER — lost / foreign / double-responded waiters
 # ----------------------------------------------------------------------
-def test_lost_waiters_trip_san_waiter(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_lost_waiters_trip_san_waiter(small_trace, machine):
+    system = partial_system(small_trace, machine)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block] = entry
     entry.waiters.clear()            # fill path dropped everyone
     expect_trip(system, SAN_WAITER)
 
 
-def test_double_responded_waiter_trips_san_waiter(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_double_responded_waiter_trips_san_waiter(small_trace, machine):
+    system = partial_system(small_trace, machine)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block] = entry
     entry.waiters[0].completed = system.engine.now - 1   # already answered
@@ -170,15 +178,15 @@ def test_double_responded_waiter_trips_san_waiter(small_trace, engine_name):
 # ----------------------------------------------------------------------
 # SAN-PMC — per-core cycle conservation
 # ----------------------------------------------------------------------
-def test_overaccounted_pure_miss_cycles_trip_san_pmc(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_overaccounted_pure_miss_cycles_trip_san_pmc(small_trace, machine):
+    system = partial_system(small_trace, machine)
     mon = system.monitor._cores[0]
     mon.stats.pure_miss_cycles = float(system.engine.now + 10_000)
     expect_trip(system, SAN_PMC)
 
 
-def test_histogram_mass_mismatch_trips_san_pmc(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name)
+def test_histogram_mass_mismatch_trips_san_pmc(small_trace, machine):
+    system = partial_system(small_trace, machine)
     mon = system.monitor._cores[0]
     assert mon.stats.misses > 0
     mon.stats.misses += 3            # misses counted but never binned
@@ -190,33 +198,20 @@ def test_histogram_mass_mismatch_trips_san_pmc(small_trace, engine_name):
 # ----------------------------------------------------------------------
 def _raw_install(cache, set_idx, tag):
     """Hand-install ``(set_idx, tag)`` with the tag index and valid count
-    kept consistent, whatever the cache's storage layout."""
-    soa = getattr(cache, "soa", None)
-    if soa is not None:                 # batched: flat SoA arrays
-        base = set_idx * cache._ways
-        way = next(w for w in range(cache._ways)
-                   if not soa.valid.item(base + w)
-                   or soa.tag.item(base + w) != tag)
-        if soa.valid.item(base + way):
-            del cache._tag2way[set_idx][int(soa.tag.item(base + way))]
-        else:
-            cache._valid_count[set_idx] += 1
-        soa.valid[base + way] = 1
-        soa.tag[base + way] = tag
-    else:                               # classic: CacheBlock objects
-        way = next(w for w, blk in enumerate(cache._sets[set_idx])
-                   if not blk.valid or blk.tag != tag)
-        blk = cache._sets[set_idx][way]
-        if blk.valid:
-            del cache._tag2way[set_idx][blk.tag]
-        else:
-            cache._valid_count[set_idx] += 1
-        blk.valid, blk.tag = True, tag
+    kept consistent."""
+    way = next(w for w, blk in enumerate(cache._sets[set_idx])
+               if not blk.valid or blk.tag != tag)
+    blk = cache._sets[set_idx][way]
+    if blk.valid:
+        del cache._tag2way[set_idx][blk.tag]
+    else:
+        cache._valid_count[set_idx] += 1
+    blk.valid, blk.tag = True, tag
     cache._tag2way[set_idx][tag] = way
 
 
-def test_inclusion_hole_trips_san_incl(small_trace, engine_name):
-    system = partial_system(small_trace, engine_name, inclusive=True)
+def test_inclusion_hole_trips_san_incl(small_trace, machine):
+    system = partial_system(small_trace, machine, inclusive=True)
     l1 = system.l1s[0]
     # Hand-install a block in L1 that the LLC has never seen, updating the
     # tag index and valid count consistently so only inclusion is violated.
@@ -229,13 +224,19 @@ def test_inclusion_hole_trips_san_incl(small_trace, engine_name):
 # ----------------------------------------------------------------------
 # Watcher integration — corruption detected mid-run, not only at the end
 # ----------------------------------------------------------------------
-def test_installed_watcher_detects_mid_run_corruption(small_trace, engine_name):
+def test_installed_watcher_detects_mid_run_corruption(small_trace, machine):
     cfg = SystemConfig.tiny(1)
-    system = build_system(cfg, [small_trace.records], engine=engine_name,
-                          llc_policy="lru", warmup_records=0)
-    san = attach_sanitizer(system, interval=256)
+    system = System(cfg, [small_trace.records], llc_policy="lru",
+                    warmup_records=0)
+    system.sanitizer = attach_sanitizer(system, interval=256)
     for core in system.cores:
         core.start()
+    if machine == "restored":
+        # Cut at a watcher boundary; the installed sanitizer travels
+        # inside the save-state and must watch the restored components.
+        system.engine.run(max_events=1024)
+        system = round_trip(system)
+    san = system.sanitizer
     engine = system.engine
 
     def corrupt():
@@ -262,17 +263,29 @@ def test_double_install_refused(small_trace):
 # ----------------------------------------------------------------------
 # Observer purity — sanitized and plain runs are byte-identical
 # ----------------------------------------------------------------------
-def test_sanitized_run_is_byte_identical(small_trace, engine_name):
+def test_sanitized_run_is_byte_identical(small_trace, machine):
     cfg = SystemConfig.tiny(1)
-    plain = build_system(cfg, [small_trace.records], engine=engine_name,
-                         llc_policy="lru", warmup_records=0,
-                         sanitize=False).run()
-    sanitized_system = build_system(cfg, [small_trace.records],
-                                    engine=engine_name, llc_policy="lru",
-                                    warmup_records=0, sanitize=True)
-    sanitized = sanitized_system.run()
-    assert sanitized_system.sanitizer is not None
-    assert sanitized_system.sanitizer.checks_run > 0
+    plain = System(cfg, [small_trace.records], llc_policy="lru",
+                   warmup_records=0, sanitize=False).run()
+    sanitized_system = System(cfg, [small_trace.records], llc_policy="lru",
+                              warmup_records=0, sanitize=True)
+    if machine == "fresh":
+        sanitized = sanitized_system.run()
+    else:
+        # run()'s set-up, a cut at the first sweep, then resume()
+        san = attach_sanitizer(sanitized_system)
+        sanitized_system.sanitizer = san
+        for core in sanitized_system.cores:
+            core.start()
+        sanitized_system.engine.run(max_events=san.interval)
+        assert san.checks_run == 1
+        sanitized_system = round_trip(sanitized_system)
+        sanitized = sanitized_system.resume()
+    san = sanitized_system.sanitizer
+    assert san is not None
+    # one sweep per elapsed interval plus the final one: a restored
+    # sanitizer keeps its countdown phase
+    assert san.checks_run == sanitized.events // san.interval + 1
     assert sanitized.to_json() == plain.to_json()
     # run() uninstalls on the way out, enabled or not
     assert sanitized_system.engine.watcher is None

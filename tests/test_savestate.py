@@ -9,7 +9,6 @@ whose remaining run is byte-identical, stale blobs are refused as
 
 import gzip
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -19,8 +18,6 @@ from repro.harness.store import code_fingerprint
 from repro.sim.savestate import (SAVESTATE_SCHEMA, CorruptSavestate,
                                  StaleSavestate, decode_savestate,
                                  read_savestate_header)
-
-ENGINES = ("classic", "batched")
 
 
 @pytest.fixture(autouse=True)
@@ -34,9 +31,8 @@ def clean_latch(monkeypatch):
     preempt.clear_preempt()
 
 
-def a_spec(engine="classic"):
-    return replace(ExperimentSpec.single("462.libquantum", "lru",
-                                         n_records=300), engine=engine)
+def a_spec():
+    return ExperimentSpec.single("462.libquantum", "lru", n_records=300)
 
 
 def make_blob(tmp_path, monkeypatch, spec):
@@ -77,9 +73,8 @@ def test_header_is_readable_without_unpickling(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Round trip: restore-then-run == uninterrupted run
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ENGINES)
-def test_decode_resumes_byte_identical(tmp_path, monkeypatch, engine):
-    spec = a_spec(engine)
+def test_decode_resumes_byte_identical(tmp_path, monkeypatch):
+    spec = a_spec()
     clean = spec.execute()
     blob = make_blob(tmp_path, monkeypatch, spec)
     system = decode_savestate(blob, spec_key=spec.key(),

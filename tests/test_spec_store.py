@@ -49,6 +49,21 @@ def test_spec_key_is_stable_and_discriminating(spec):
     assert payload["workload"] == "462.libquantum"
 
 
+def test_legacy_batched_spec_is_served_but_not_simulated(tmp_path, spec,
+                                                         result):
+    """A spec stored by the removed batched backend keeps its own key: a
+    stored result is still served, and re-simulating it is refused."""
+    from repro.harness.runner import run
+    legacy = ExperimentSpec.from_dict(dict(spec.to_dict(), engine="batched"))
+    assert legacy.engine == "batched"
+    assert legacy.key() != spec.key()
+    with pytest.raises(ValueError, match="removed"):
+        legacy.execute()
+    store = ResultStore(tmp_path)
+    store.put(legacy, result)
+    assert run(legacy, store=store).to_json() == result.to_json()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="workload"):
         ExperimentSpec(workload="", policy="lru")

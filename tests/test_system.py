@@ -1,8 +1,11 @@
 """Full-hierarchy System runs: wiring, warmup, measurement, invariants."""
 
+import random
+
 import pytest
 
 from repro.sim import SystemConfig, System, simulate
+from repro.workloads import TraceRecord
 from tests.conftest import build_trace
 
 
@@ -127,3 +130,26 @@ def test_dram_traffic_accounted(tiny_cfg, small_trace):
     assert res.dram.reads > 0
     assert res.dram.row_hits + res.dram.row_misses == (
         res.dram.reads + res.dram.writes)
+
+
+# ----------------------------------------------------------------------
+# Deprecation shim: positional simulate() arguments
+# ----------------------------------------------------------------------
+def _mini_records(n=60):
+    r = random.Random(1)
+    return [TraceRecord(pc=0x10, addr=r.randrange(256) * 64,
+                        is_write=False, gap=1) for _ in range(n)]
+
+
+def test_simulate_positional_args_warn_and_still_work(tiny_cfg):
+    records = _mini_records()
+    with pytest.warns(DeprecationWarning, match="positional"):
+        legacy = simulate([records], tiny_cfg, "lru")
+    modern = simulate([records], cfg=tiny_cfg, llc_policy="lru")
+    assert legacy.to_json() == modern.to_json()
+
+
+def test_simulate_rejects_positional_keyword_conflict(tiny_cfg):
+    with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError, match="multiple values"):
+            simulate([_mini_records()], tiny_cfg, cfg=tiny_cfg)

@@ -1,6 +1,6 @@
 """The warm worker pool (PR 7): mode resolution, env-snapshot shipping,
-worker reuse across sweeps, engine propagation into stored results, and
-the CLI's stdout/stderr purity when the store misbehaves."""
+worker reuse across sweeps, and the CLI's stdout/stderr purity when the
+store misbehaves."""
 
 import json
 
@@ -20,7 +20,7 @@ WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
     for var in ("REPRO_CHAOS", "REPRO_TIMEOUT", "REPRO_POOL",
-                "REPRO_ENGINE", "REPRO_TRACE_CACHE"):
+                "REPRO_TRACE_CACHE"):
         monkeypatch.delenv(var, raising=False)
     clear_memo()
     store = ResultStore(tmp_path / "store")
@@ -52,20 +52,20 @@ def test_resolve_pool_mode(monkeypatch, caplog):
 
 
 def test_worker_env_snapshot_only_repro_vars(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     monkeypatch.setenv("PATH_LIKE_NOISE", "ignored")
     snap = worker_env_snapshot()
-    assert snap["REPRO_ENGINE"] == "batched"
+    assert snap["REPRO_SANITIZE"] == "1"
     assert all(k.startswith("REPRO_") for k in snap)
 
 
 def test_apply_env_mirrors_snapshot_exactly(monkeypatch):
     monkeypatch.setenv("REPRO_STALE", "from-fork-time")
-    monkeypatch.setenv("REPRO_ENGINE", "classic")
-    _apply_env({"REPRO_ENGINE": "batched", "REPRO_CHAOS": "flaky:3"})
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    _apply_env({"REPRO_SANITIZE": "1", "REPRO_CHAOS": "flaky:3"})
     import os
     assert "REPRO_STALE" not in os.environ       # deleted: not in snapshot
-    assert os.environ["REPRO_ENGINE"] == "batched"
+    assert os.environ["REPRO_SANITIZE"] == "1"
     assert os.environ["REPRO_CHAOS"] == "flaky:3"
 
 
@@ -97,39 +97,6 @@ def test_shared_pool_resizes_by_restart():
     shutdown_shared_pool()
     shutdown_shared_pool()                 # idempotent
     assert turbo._SHARED is None
-
-
-# ----------------------------------------------------------------------
-# Satellite: REPRO_ENGINE reaches pool workers and the store
-# ----------------------------------------------------------------------
-def test_engine_env_is_recorded_in_every_stored_result(isolated,
-                                                       monkeypatch):
-    monkeypatch.setenv(POOL_ENV, "persistent")
-    specs = specs_for(WORKLOADS[:2])
-    run_many(specs, workers=2, store=None)     # warm the pool on classic
-
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    clear_memo()
-    results = run_many(specs, workers=2)
-    assert all(r is not None for r in results)
-    entries = list(isolated.entries())
-    assert len(entries) == len(specs)
-    for path in entries:
-        entry = json.loads(path.read_text())
-        assert entry["spec"]["engine"] == "batched"
-
-
-def test_engine_normalization_matches_explicit_spec(isolated, monkeypatch):
-    """env-selected and spec-selected batched runs share keys/results."""
-    import dataclasses
-    spec = specs_for(WORKLOADS[:1])[0]
-    explicit = dataclasses.replace(spec, engine="batched")
-    via_spec = run_many([explicit], workers=1, store=None)[0]
-
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    clear_memo()
-    via_env = run_many([spec], workers=1, store=None)[0]
-    assert via_env.to_json() == via_spec.to_json()
 
 
 def test_cli_sweep_process_exits_cleanly(tmp_path):
