@@ -14,9 +14,10 @@ Commands
 ``store``      inspect / repair the persistent result store (``fsck``)
 ``check``      SimSan static lint over the tree (see repro.checks.lint)
 
-``run`` and ``sweep`` accept observability flags (``--metrics-interval``,
-``--trace``) that attach the ``repro.obs`` sampler/tracer to every
-freshly simulated point; artifacts land under ``--obs-dir``.
+``run``, ``sweep`` and ``campaign run`` accept observability flags
+(``--metrics-interval``, ``--trace``) that attach the ``repro.obs``
+sampler/tracer to every freshly simulated point; artifacts land under
+``--obs-dir``.
 
 ``run`` and ``sweep`` resolve every point through the persistent result
 store (``~/.cache/repro-care/results`` or ``$REPRO_RESULT_STORE``), so
@@ -37,7 +38,7 @@ its save-state instead of restarting — byte-identically.
 
 Exit codes: 0 success; 2 usage error; 3 sweep finished but some points
 failed permanently, or the sweep manifest could not be persisted;
-130 interrupted (manifest flushed when enabled).
+130 interrupted (manifest flushed when enabled, incident log written).
 """
 
 from __future__ import annotations
@@ -135,18 +136,23 @@ def _cmd_hwcost(_args) -> int:
     return 0
 
 
-def _enable_sanitizer() -> None:
-    """Propagate ``--sanitize`` through the environment so worker
-    processes (and every System built downstream) inherit it."""
-    import os
-    os.environ["REPRO_SANITIZE"] = "1"
+def _enable_run_flags(args) -> bool:
+    """The prologue ``run``, ``sweep`` and ``campaign run`` share: export
+    the sanitizer, trace-cache, checkpoint and observer flags.  Returns
+    True when any observer was enabled."""
+    if args.sanitize:
+        # Through the environment, so pool workers (and every System
+        # built downstream) inherit it.
+        os.environ["REPRO_SANITIZE"] = "1"
+    _enable_trace_cache(args)
+    _enable_checkpoint(args)
+    return _enable_obs(args)
 
 
 def _enable_obs(args) -> bool:
     """Propagate observability flags through the environment (same
     mechanism as ``--sanitize``) so pool workers inherit them.  Returns
     True when any observer was enabled."""
-    import os
     enabled = False
     if args.metrics_interval:
         os.environ["REPRO_METRICS_INTERVAL"] = str(args.metrics_interval)
@@ -196,8 +202,6 @@ def _supervision_from_args(args, tag: str):
     Raises ValueError for bad flag values (callers map that to the
     usage exit code 2).  Returns ``(context, incidents)``.
     """
-    import os
-
     from .harness.supervise import (DEFAULT_MANIFEST, RetryPolicy,
                                     SweepManifest, supervised_sweep)
     from .obs.incidents import IncidentLog
@@ -242,16 +246,6 @@ def _supervision_from_args(args, tag: str):
     return ctx, incidents
 
 
-def _manifest_persist_abort(exc, incidents, obs_dir, tag: str) -> int:
-    """Shared epilogue for :class:`ManifestPersistError` (exit code 3)."""
-    from .obs.incidents import maybe_write
-    incidents.add("manifest-persist", path=str(exc.path),
-                  strikes=exc.strikes)
-    maybe_write(incidents, obs_dir)
-    print(f"\n[{tag}] aborted: {exc}", file=sys.stderr)
-    return 3
-
-
 def _finish_supervised(sup, incidents, failures, obs_dir) -> int:
     """Shared epilogue: failure table, incident artifact, exit code."""
     from .harness.supervise import format_failure_table
@@ -265,11 +259,59 @@ def _finish_supervised(sup, incidents, failures, obs_dir) -> int:
         return 0
     print(file=sys.stderr)
     print(format_failure_table(failures), file=sys.stderr)
-    if sup is not None and sup.manifest is not None:
+    if sup.manifest is not None:
         print(f"[sweep] manifest: {sup.manifest.summary()} -> "
               f"{sup.manifest.path} (re-run with --resume to retry)",
               file=sys.stderr)
     return 3
+
+
+def _run_supervised(args, tag: str, execute, render,
+                    observe_cached: bool = False) -> int:
+    """The one supervised path of ``run``, ``sweep`` and ``campaign run``.
+
+    ``execute(force)`` makes the command's ``run_many`` calls under the
+    supervisor; ``render(value, sup)`` prints what a finished sweep
+    produced.  Observer artifacts only exist when the simulator actually
+    runs: with ``observe_cached`` an observed sweep passes ``force=True``
+    to re-simulate cached points, otherwise they are served without
+    artifacts, with a warning.  Exit codes follow the module doc; an
+    interrupt also writes the incident log.
+    """
+    from .harness.supervise import (ManifestPersistError, SweepFailedError,
+                                    SweepInterrupted)
+    from .obs.incidents import maybe_write
+
+    name = args.command
+    obs_on = _enable_run_flags(args)
+    force = obs_on and observe_cached
+    if obs_on and not force and not getattr(args, "no_store", False):
+        print(f"[{name}] observability on: store-cached points are served "
+              "without artifacts; use an empty store (REPRO_RESULT_STORE, "
+              "or sweep --no-store) to observe every point", file=sys.stderr)
+    try:
+        ctx, incidents = _supervision_from_args(args, tag)
+        with ctx as sup:
+            try:
+                value = execute(force)
+            except SweepFailedError as exc:  # --fail-fast
+                return _finish_supervised(sup, incidents, exc.failures,
+                                          args.obs_dir)
+    except (KeyError, ValueError) as exc:   # bad flag value or sweep name
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except SweepInterrupted as exc:
+        print(f"\n[{name}] interrupted: {exc}", file=sys.stderr)
+        maybe_write(incidents, args.obs_dir)
+        return 130
+    except ManifestPersistError as exc:
+        incidents.add("manifest-persist", path=str(exc.path),
+                      strikes=exc.strikes)
+        maybe_write(incidents, args.obs_dir)
+        print(f"\n[{name}] aborted: {exc}", file=sys.stderr)
+        return 3
+    render(value, sup)
+    return _finish_supervised(sup, incidents, sup.failures, args.obs_dir)
 
 
 def _cmd_run(args) -> int:
@@ -277,103 +319,70 @@ def _cmd_run(args) -> int:
 
     from .analysis import format_table
     from .harness import ExperimentSpec, run_many
-    from .harness.supervise import (ManifestPersistError, SweepFailedError,
-                                    SweepInterrupted)
+    from .harness.runner import USE_DEFAULT_STORE
     from .workloads import gap_workload_names, serve_names
 
-    if args.sanitize:
-        _enable_sanitizer()
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
-    obs_on = _enable_obs(args)
     if args.workload in gap_workload_names():
         suite = "gap"
     elif args.workload in serve_names():
         suite = "serve"
     else:
         suite = "spec"
-    store = None if args.no_store else _default_store_arg()
+    store = None if args.no_store else USE_DEFAULT_STORE
     try:
         specs = [ExperimentSpec.multicopy(
                      args.workload, policy, n_cores=args.cores,
                      prefetch=args.prefetch, suite=suite,
                      n_records=args.records // 2, seed=args.seed)
                  for policy in args.policies]
-        ctx, incidents = _supervision_from_args(
-            args, tag=f"run-{args.workload}")
     except ValueError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    # Observer artifacts only exist when the simulator actually runs, so
-    # enabling them forces fresh simulation past the memo/store caches.
-    try:
-        with ctx as sup:
-            try:
-                results = run_many(specs, workers=args.workers, store=store,
-                                   force=obs_on)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[run] interrupted: {exc}", file=sys.stderr)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir, "run")
-    if args.json:
-        print(json.dumps(
-            [{"spec": spec.to_dict(),
-              "result": None if res is None else res.to_dict()}
-             for spec, res in zip(specs, results)],
-            sort_keys=True, indent=2))
-        return _finish_supervised(sup, incidents, failures, args.obs_dir)
-    rows = []
-    base = None
-    for policy, res in zip(args.policies, results):
-        if res is None:
-            rows.append([policy] + ["-"] * 6)
-            continue
-        total = sum(res.ipc)
-        if base is None:
-            base = total
-        rows.append([policy, f"{total:.3f}", f"{total / base:.3f}",
-                     f"{res.mpki():.2f}", f"{res.pmr:.3f}",
-                     f"{res.mean_pmc:.1f}", f"{res.aocpa:.1f}"])
-    print(f"{args.workload} x {args.cores} cores, "
-          f"prefetch={'on' if args.prefetch else 'off'}, "
-          f"{args.records} records/core")
-    print(format_table(
-        ["policy", "sum IPC", "vs first", "MPKI", "pMR", "mean PMC",
-         "AOCPA"], rows))
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
 
+    def render(results, _sup) -> None:
+        if args.json:
+            print(json.dumps(
+                [{"spec": spec.to_dict(),
+                  "result": None if res is None else res.to_dict()}
+                 for spec, res in zip(specs, results)],
+                sort_keys=True, indent=2))
+            return
+        rows = []
+        base = None
+        for policy, res in zip(args.policies, results):
+            if res is None:
+                rows.append([policy] + ["-"] * 6)
+                continue
+            total = sum(res.ipc)
+            if base is None:
+                base = total
+            rows.append([policy, f"{total:.3f}", f"{total / base:.3f}",
+                         f"{res.mpki():.2f}", f"{res.pmr:.3f}",
+                         f"{res.mean_pmc:.1f}", f"{res.aocpa:.1f}"])
+        print(f"{args.workload} x {args.cores} cores, "
+              f"prefetch={'on' if args.prefetch else 'off'}, "
+              f"{args.records} records/core")
+        print(format_table(
+            ["policy", "sum IPC", "vs first", "MPKI", "pMR", "mean PMC",
+             "AOCPA"], rows))
 
-def _default_store_arg():
-    from .harness.runner import USE_DEFAULT_STORE
-    return USE_DEFAULT_STORE
+    return _run_supervised(
+        args, f"run-{args.workload}",
+        lambda force: run_many(specs, workers=args.workers, store=store,
+                               force=force),
+        render, observe_cached=True)
 
 
 def _cmd_sweep(args) -> int:
     from .harness.runner import session_stats
     from .harness.scale import scale_override
     from .harness.store import set_default_store
-    from .harness.supervise import (ManifestPersistError, SweepFailedError,
-                                    SweepInterrupted)
     from .harness.sweeps import available_sweeps, run_sweep
 
     if args.list or not args.name:
         for name, title in available_sweeps():
             print(f"{name:8s} {title}")
         return 0
-    if args.sanitize:
-        _enable_sanitizer()
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
-    obs_on = _enable_obs(args)
-    if obs_on and not args.no_store:
-        print("[sweep] observability on: store-cached points are served "
-              "without artifacts; use --no-store to observe every point",
-              file=sys.stderr)
     if args.no_store:
         set_default_store(None)
     overrides = {}
@@ -383,37 +392,19 @@ def _cmd_sweep(args) -> int:
         overrides["workloads"] = args.workloads
     if args.mixes is not None:
         overrides["mixes"] = args.mixes
-    try:
-        ctx, incidents = _supervision_from_args(args,
-                                                tag=f"sweep-{args.name}")
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        with ctx as sup:
-            try:
-                with scale_override(**overrides):
-                    text = run_sweep(args.name, workers=args.workers,
-                                     progress=not args.quiet)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[sweep] interrupted: {exc}", file=sys.stderr)
-        from .obs.incidents import maybe_write
-        maybe_write(incidents, args.obs_dir)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir, "sweep")
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(text)
-    if session_stats.sweeps:
-        print(f"\n[sweep] {session_stats.sweeps[-1].summary()}")
-    print(f"[sweep] session total: {session_stats.summary()}")
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
+
+    def execute(_force) -> str:
+        with scale_override(**overrides):
+            return run_sweep(args.name, workers=args.workers,
+                             progress=not args.quiet)
+
+    def render(text, _sup) -> None:
+        print(text)
+        if session_stats.sweeps:
+            print(f"\n[sweep] {session_stats.sweeps[-1].summary()}")
+        print(f"[sweep] session total: {session_stats.summary()}")
+
+    return _run_supervised(args, f"sweep-{args.name}", execute, render)
 
 
 def _resolve_campaign(args):
@@ -502,13 +493,7 @@ def _cmd_campaign(args) -> int:
 
     # -- campaign run ---------------------------------------------------
     from .harness.runner import run_many, session_stats
-    from .harness.supervise import (ManifestPersistError, SweepFailedError,
-                                    SweepInterrupted)
 
-    if args.sanitize:
-        _enable_sanitizer()
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
     # The campaign is a standing resumable sweep: checkpoint to the
     # campaign's own manifest unless the caller picked another path.
     if args.manifest is None:
@@ -518,36 +503,20 @@ def _cmd_campaign(args) -> int:
           + (f" · slice {campaign.slice_name}" if campaign.slice_name else "")
           + f": {len(specs)} point(s) across {len(campaign.grids)} grid(s)",
           file=sys.stderr)
-    try:
-        ctx, incidents = _supervision_from_args(args, tag=campaign.tag())
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    store = _default_store_arg()
-    try:
-        with ctx as sup:
-            try:
-                run_many(specs, workers=args.workers, store=store,
-                         progress=not args.quiet)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[campaign] interrupted: {exc}", file=sys.stderr)
-        from .obs.incidents import maybe_write
-        maybe_write(incidents, args.obs_dir)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir,
-                                       "campaign")
-    status = campaign_status(
-        campaign, _campaign_store(args),
-        manifest_counts=sup.manifest.counts() if sup.manifest else None)
-    print(format_status(status))
-    if session_stats.sweeps:
-        print(f"[campaign] {session_stats.sweeps[-1].summary()}")
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
+
+    def render(_results, sup) -> None:
+        status = campaign_status(
+            campaign, _campaign_store(args),
+            manifest_counts=sup.manifest.counts() if sup.manifest else None)
+        print(format_status(status))
+        if session_stats.sweeps:
+            print(f"[campaign] {session_stats.sweeps[-1].summary()}")
+
+    return _run_supervised(
+        args, campaign.tag(),
+        lambda _force: run_many(specs, workers=args.workers,
+                                progress=not args.quiet),
+        render)
 
 
 def _cmd_perf(args) -> int:
@@ -844,7 +813,8 @@ def _cmd_check(args) -> int:
 
 def _add_supervise_args(parser: argparse.ArgumentParser,
                         with_manifest: bool = False) -> None:
-    """Fault-tolerance flags shared by ``run`` and ``sweep``."""
+    """Fault-tolerance flags shared by ``run``, ``sweep`` and
+    ``campaign run``."""
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first permanent failure "
                              "(default: finish healthy points, report a "
@@ -886,7 +856,8 @@ def _add_supervise_args(parser: argparse.ArgumentParser,
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by ``run`` and ``sweep``."""
+    """Observability flags shared by ``run``, ``sweep`` and
+    ``campaign run``."""
     parser.add_argument("--metrics-interval", type=int, default=0,
                         metavar="CYCLES",
                         help="sample interval metrics every CYCLES cycles "
@@ -998,8 +969,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "$REPRO_PERF_GATE_THRESHOLD or 0.25)")
     perf.add_argument("--sweep", action="store_true",
                       help="run the sweep-throughput macro-benchmark "
-                           "(warm pool + trace cache vs. spawn pool) "
-                           "instead of the kernel microbenchmarks; "
+                           "(warm pool + trace cache, cold and warm "
+                           "rounds) instead of the kernel "
+                           "microbenchmarks; "
                            "merged into the payload's 'sweep' section")
 
     campaign = sub.add_parser(

@@ -113,9 +113,9 @@ _FLOW_RULES = [
         summary="module-level call captures env/clock-derived state at "
                 "import time",
         hint="the called helper (transitively) reads the environment or "
-             "a clock, so its result is frozen at import and diverges "
-             "between spawn and persistent (REPRO_POOL) workers; call "
-             "it lazily inside a function instead",
+             "a clock, so its result is frozen when a persistent worker "
+             "forks and ignores the per-task REPRO_* snapshot; call it "
+             "lazily inside a function instead",
         scope="all",
     ),
 ]
@@ -178,7 +178,6 @@ TAINT_SANITIZERS: FrozenSet[str] = frozenset({
 #: Worker entry points: everything these reach runs inside a pool
 #: worker process (SS601/SS602/SS603 apply to that closure).
 WORKER_ROOTS: FrozenSet[str] = frozenset({
-    "repro.harness.supervise._supervised_worker",
     "repro.harness.turbo._persistent_worker",
     "repro.harness.turbo._execute_task",
 })
@@ -190,7 +189,6 @@ WORKER_ROOTS: FrozenSet[str] = frozenset({
 WORKER_ENV_API: FrozenSet[str] = frozenset({
     "repro.harness.turbo.worker_env_snapshot",
     "repro.harness.turbo._apply_env",
-    "repro.harness.turbo.resolve_pool_mode",
     "repro.harness.scale.BenchScale.resolve",
     "repro.harness.supervise.RetryPolicy.from_env",
     "repro.harness.supervise.compute_timeout",

@@ -82,7 +82,8 @@ _RULES = [
         summary="os.environ read at import time",
         hint="read the environment lazily inside a function (see "
              "harness.scale.BenchScale); import-time reads freeze config "
-             "before callers can set it and break spawned workers",
+             "before callers can set it, and a pool worker would never "
+             "see the per-task REPRO_* snapshot",
         scope="all",
     ),
     # ------------------------------------------------------------------

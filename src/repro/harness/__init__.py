@@ -23,7 +23,6 @@ from .store import (FsckReport, ResultStore, code_fingerprint,
 from .supervise import (
     FailedResult,
     RetryPolicy,
-    SupervisedPool,
     SweepFailedError,
     SweepInterrupted,
     SweepManifest,
@@ -75,10 +74,9 @@ __all__ = [
     "ExperimentSpec",
     "FsckReport", "ResultStore", "code_fingerprint", "default_store",
     "set_default_store",
-    "FailedResult", "RetryPolicy", "SupervisedPool", "SweepFailedError",
-    "SweepInterrupted", "SweepManifest", "SweepSupervisor",
-    "active_supervisor", "compute_timeout", "format_failure_table",
-    "supervised_sweep",
+    "FailedResult", "RetryPolicy", "SweepFailedError", "SweepInterrupted",
+    "SweepManifest", "SweepSupervisor", "active_supervisor",
+    "compute_timeout", "format_failure_table", "supervised_sweep",
     "SweepStats", "resolve_workers", "run", "run_many", "session_stats",
     "BENCH_MIXES", "BENCH_RECORDS", "BENCH_WORKLOADS",
     "NOPREFETCH_SCHEMES", "PREFETCH_SCHEMES",

@@ -169,70 +169,51 @@ def _run_sweep_phase(specs: Sequence[ExperimentSpec], workers: int) -> Dict:
         "points": len(specs),
         "points_per_s": round(len(specs) / wall, 2),
         "simulated": stats.simulated,
-        "pool_mode": stats.pool_mode,
         "fell_back_serial": stats.fell_back_serial,
     }
 
 
 def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
                         workers: int = 2, progress: bool = False) -> Dict:
-    """Interleaved sweep-throughput comparison; returns the payload section.
+    """Sweep-throughput measurement; returns the payload section.
 
-    Each round runs the pinned grid twice on the same machine state:
-    first **baseline** (``REPRO_POOL=spawn`` + trace cache disabled — the
-    PR 5 path), then **turbo** (persistent warm pool + trace cache in a
-    throwaway directory).  Turbo round 0 is the *cold* number (pool fork
-    + cache misses included); later rounds are *warm*.  The headline
-    speedup compares best warm turbo against best baseline, so both
-    sides get their best-of treatment.
+    Every round runs the pinned grid on the warm worker pool with the
+    trace cache in a throwaway directory.  Round 0 is the *cold* number
+    (pool fork + cache misses included); later rounds are *warm*, and
+    the best warm round is the number the CI gate compares.
     """
     import os
     import tempfile
 
     from ..workloads.tracecache import ENV_VAR as TRACE_CACHE_ENV
     from ..workloads.tracecache import reset_default_trace_cache
-    from .turbo import POOL_ENV, shutdown_shared_pool
+    from .turbo import shutdown_shared_pool
 
     if repeat < 2:
         raise ValueError("repeat must be >= 2 (round 0 is the cold round)")
     specs = sweep_grid(records)
-    saved = {k: os.environ.get(k) for k in (POOL_ENV, TRACE_CACHE_ENV)}
-    baseline: List[Dict] = []
-    cold: Dict = {}
-    warm: List[Dict] = []
+    saved = os.environ.get(TRACE_CACHE_ENV)
+    phases: List[Dict] = []
     reset_default_trace_cache()
     with tempfile.TemporaryDirectory(prefix="repro-sweepbench-") as tmp:
+        os.environ[TRACE_CACHE_ENV] = tmp
         try:
             for i in range(repeat):
-                os.environ[POOL_ENV] = "spawn"
-                os.environ[TRACE_CACHE_ENV] = "off"
                 phase = _run_sweep_phase(specs, workers)
-                baseline.append(phase)
-                if progress:
-                    print(f"[perf] sweep round {i}: baseline "
-                          f"{phase['points_per_s']:.2f} points/s",
-                          file=sys.stderr)
-                os.environ[POOL_ENV] = "persistent"
-                os.environ[TRACE_CACHE_ENV] = tmp
-                phase = _run_sweep_phase(specs, workers)
-                if i == 0:
-                    cold = phase
-                else:
-                    warm.append(phase)
+                phases.append(phase)
                 if progress:
                     label = "cold" if i == 0 else "warm"
-                    print(f"[perf] sweep round {i}: turbo ({label}) "
+                    print(f"[perf] sweep round {i}: {label} "
                           f"{phase['points_per_s']:.2f} points/s",
                           file=sys.stderr)
         finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+            if saved is None:
+                os.environ.pop(TRACE_CACHE_ENV, None)
+            else:
+                os.environ[TRACE_CACHE_ENV] = saved
             reset_default_trace_cache()
             shutdown_shared_pool()
-    base_best = max(p["points_per_s"] for p in baseline)
+    cold, warm = phases[0], phases[1:]
     warm_best = max(p["points_per_s"] for p in warm)
     return {
         "grid": {
@@ -243,14 +224,9 @@ def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
         },
         "workers": workers,
         "repeat": repeat,
-        "baseline": {"mode": "spawn pool, trace cache off",
-                     "passes": baseline, "best_points_per_s": base_best},
         "turbo_cold": cold,
         "turbo_warm": {"mode": "persistent pool, trace cache on",
                        "passes": warm, "best_points_per_s": warm_best},
-        "speedup_cold_vs_baseline":
-            round(cold["points_per_s"] / base_best, 2),
-        "speedup_warm_vs_baseline": round(warm_best / base_best, 2),
     }
 
 
@@ -262,14 +238,10 @@ def format_sweep_payload(section: Dict) -> str:
         f"{len(grid['workloads'])} workloads x {len(grid['policies'])} "
         f"policies, {grid['n_records']} records, preset {grid['preset']}, "
         f"workers={section['workers']})",
-        f"  baseline (spawn pool, cache off): "
-        f"{section['baseline']['best_points_per_s']:.2f} points/s",
-        f"  turbo cold (warm pool, cold cache): "
-        f"{section['turbo_cold']['points_per_s']:.2f} points/s "
-        f"({section['speedup_cold_vs_baseline']:.2f}x)",
-        f"  turbo warm: "
-        f"{section['turbo_warm']['best_points_per_s']:.2f} points/s "
-        f"({section['speedup_warm_vs_baseline']:.2f}x)",
+        f"  cold (fresh pool, cold trace cache): "
+        f"{section['turbo_cold']['points_per_s']:.2f} points/s",
+        f"  warm: "
+        f"{section['turbo_warm']['best_points_per_s']:.2f} points/s",
     ]
     return "\n".join(lines)
 

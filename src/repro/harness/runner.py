@@ -9,7 +9,8 @@ Resolution order for one point is memo -> store -> simulate:
 * **store** — the persistent :class:`~repro.harness.store.ResultStore`,
   so a fresh process reuses every point any earlier session simulated.
 * **simulate** — :meth:`ExperimentSpec.execute`, fanned out over the
-  :class:`~repro.harness.supervise.SupervisedPool` when ``workers > 1``.
+  warm worker pool (:class:`~repro.harness.turbo.PersistentPool`) when
+  ``workers > 1``.
 
 Workers for :func:`run_many` come from the ``workers=`` argument, else
 the ``REPRO_WORKERS`` environment variable, else 1 (serial).  ``0`` means
@@ -48,9 +49,7 @@ from .supervise import (
     CRASH_ERROR,
     TIMEOUT_ERROR,
     FailedResult,
-    PoolUnavailable,
     RetryPolicy,
-    SupervisedPool,
     SweepFailedError,
     SweepInterrupted,
     active_supervisor,
@@ -68,10 +67,6 @@ _MEMO: Dict[ExperimentSpec, SimResult] = {}
 
 ProgressFn = Callable[["SweepStats", Optional[ExperimentSpec], str], None]
 
-#: backward-compatible alias — the pool-unavailable signal moved to
-#: ``repro.harness.supervise`` with the supervised-pool rework
-_PoolUnavailable = PoolUnavailable
-
 
 @dataclass
 class SweepStats:
@@ -84,7 +79,6 @@ class SweepStats:
     simulated: int = 0
     workers: int = 1
     pool_used: bool = False
-    pool_mode: str = "serial"   # "serial" | "spawn" | "persistent"
     fell_back_serial: bool = False
     elapsed: float = 0.0      # wall-clock of the whole call
     busy_time: float = 0.0    # summed per-point simulation time
@@ -107,7 +101,7 @@ class SweepStats:
         return min(1.0, self.busy_time / (self.elapsed * self.workers))
 
     def summary(self) -> str:
-        mode = f"pool/{self.pool_mode}" if self.pool_used else "serial"
+        mode = "pool" if self.pool_used else "serial"
         if self.fell_back_serial:
             mode = "serial (pool unavailable)"
         text = (f"{self.done}/{self.total} points in {self.elapsed:.2f}s | "
@@ -406,25 +400,14 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         if pending:
             n_workers = min(stats.workers, len(pending))
             if n_workers > 1:
-                from .turbo import resolve_pool_mode, shared_pool
-                mode = resolve_pool_mode()
+                from .turbo import PoolUnavailable, shared_pool
                 try:
-                    if mode == "persistent":
-                        shared_pool(n_workers).run(
-                            pending, on_success=finish, on_failure=fail,
-                            on_retry=note_retry, retry=retry,
-                            timeout_for=lambda s: compute_timeout(s, timeout),
-                            supervisor=sup, keep_going=keep_going)
-                    else:
-                        pool = SupervisedPool(
-                            n_workers, retry,
-                            timeout_for=lambda s: compute_timeout(s, timeout),
-                            supervisor=sup)
-                        pool.run(pending, on_success=finish,
-                                 on_failure=fail, on_retry=note_retry,
-                                 keep_going=keep_going)
+                    shared_pool(n_workers).run(
+                        pending, on_success=finish, on_failure=fail,
+                        on_retry=note_retry, retry=retry,
+                        timeout_for=lambda s: compute_timeout(s, timeout),
+                        supervisor=sup, keep_going=keep_going)
                     stats.pool_used = True
-                    stats.pool_mode = mode
                 except PoolUnavailable as exc:
                     log.warning("worker pool unavailable (%s); "
                                 "falling back to serial execution",
@@ -443,12 +426,13 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
     except (SweepInterrupted, KeyboardInterrupt):
         if sup is not None:
             sup.flush(force=True)
-            counts = (manifest.counts() if manifest is not None
-                      else {"done": stats.done, "pending": 0})
+            if manifest is not None:
+                counts = manifest.counts()
+                raise SweepInterrupted(manifest.path, done=counts["done"],
+                                       pending=counts["pending"]) from None
             raise SweepInterrupted(
-                manifest.path if manifest is not None else None,
-                done=counts.get("done", 0),
-                pending=counts.get("pending", 0)) from None
+                done=stats.done,
+                pending=stats.total - stats.done - stats.failed) from None
         raise
 
     stats.elapsed = time.monotonic() - started

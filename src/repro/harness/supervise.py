@@ -12,10 +12,9 @@ This module supplies the machinery the runner builds on:
   pools, killed workers, watchdog timeouts) are retried with exponential
   backoff and deterministic per-point jitter; permanent failures are
   classified immediately.
-* :class:`SupervisedPool` — a process-per-task worker pool whose
-  supervisor enforces a wall-clock deadline per point (see
-  :func:`compute_timeout`), kills hung workers, detects crashed ones by
-  exit code, and requeues transient casualties.
+* :func:`compute_timeout` — the wall-clock deadline per point that the
+  worker pool (:class:`repro.harness.turbo.PersistentPool`) enforces by
+  killing and respawning a hung worker.
 * :class:`SweepManifest` — a checkpoint file (atomic rename, like the
   result store) tracking done/failed/pending point keys, so
   ``python -m repro sweep --resume`` continues a killed campaign.
@@ -37,14 +36,11 @@ import json
 import logging
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..sim.stats import SimResult
-from . import preempt
 from .preempt import PREEMPT_ERROR
 from .spec import ExperimentSpec
 
@@ -164,14 +160,6 @@ class SweepInterrupted(RuntimeError):
         super().__init__(
             f"sweep interrupted with {done} point(s) done, "
             f"{pending} pending{where}")
-
-
-class PoolUnavailable(Exception):
-    """The supervised worker pool could not start or died mid-sweep."""
-
-    def __init__(self, reason: BaseException) -> None:
-        super().__init__(str(reason))
-        self.reason = reason
 
 
 # ----------------------------------------------------------------------
@@ -601,373 +589,6 @@ class supervised_sweep:
         global _ACTIVE
         _ACTIVE = None
         self._sup.restore_signal_handlers()
-
-
-# ----------------------------------------------------------------------
-# Failure classification (shared by both pool flavors)
-# ----------------------------------------------------------------------
-def classify_failure(retry: RetryPolicy,
-                     supervisor: Optional[SweepSupervisor],
-                     spec: ExperimentSpec, attempt: int, kind: str,
-                     error: str, message: str, traceback: str,
-                     duration: float, requeue: Callable[[], None],
-                     fail: Callable[[FailedResult], None],
-                     worker: Optional[int] = None,
-                     ckpt: Optional[Dict[str, Any]] = None) -> None:
-    """Route one bad point: transient -> ``requeue``, else ``fail``.
-
-    The spawn pool (:class:`SupervisedPool`) and the warm pool
-    (:mod:`repro.harness.turbo`) share this so retry/backoff semantics
-    cannot drift between them.  ``worker`` (a pid) attributes timeout and
-    crash incidents to the specific worker process that served the point.
-    ``ckpt`` (``{"path", "events"}``) rides along for ``preempted``
-    points: the incident names the save-state and the manifest records
-    the checkpoint lineage, so the requeued attempt's restore is
-    auditable.
-    """
-    transient = retry.is_transient_name(error)
-    if supervisor is not None and kind in ("timeout", "crash", "preempted"):
-        extra: Dict[str, Any] = {} if worker is None else {"worker": worker}
-        if ckpt:
-            extra["ckpt"] = ckpt.get("path")
-            extra["events"] = ckpt.get("events")
-        supervisor.record_incident(kind, spec, error=error, attempt=attempt,
-                                   **extra)
-    if kind == "preempted" and supervisor is not None \
-            and supervisor.manifest is not None:
-        supervisor.manifest.mark_preempted(spec, (ckpt or {}).get("path"))
-    if transient and attempt + 1 < retry.max_attempts:
-        requeue()
-        return
-    fail(FailedResult(spec=spec, kind=kind, error=error, message=message,
-                      traceback=traceback, attempts=attempt + 1,
-                      duration=duration, permanent=not transient))
-
-
-# ----------------------------------------------------------------------
-# Supervised worker pool
-# ----------------------------------------------------------------------
-def _supervised_worker(conn: Any, spec_data: Dict[str, Any],
-                       attempt: int) -> None:
-    """Child-process entry point: simulate one spec, send one payload.
-
-    Failures are *reported*, not raised — the parent classifies them.
-    Chaos (``REPRO_CHAOS``) injects its disruptive faults here, where a
-    kill or hang only costs one sacrificial worker.
-    """
-    start = time.monotonic()
-    notes: Dict[str, Any] = {}
-    try:
-        from ..checks.chaos import chaos_from_env, inject_execute
-        preempt.clear_preempt()   # a late signal for a previous task
-        if preempt.checkpoint_from_env() is not None:
-            # Only checkpointed tasks trade SIGTERM for a clean preempt;
-            # otherwise default teardown keeps watchdog kills instant.
-            preempt.install_preempt_handler()
-        spec = ExperimentSpec.from_dict(spec_data)
-        chaos = chaos_from_env()
-        if chaos is not None:
-            inject_execute(chaos, spec.key(), attempt, disruptive_ok=True)
-        result = spec.execute(notes=notes)
-        payload: Dict[str, Any] = {"ok": True, "result": result.to_dict(),
-                                   "duration": time.monotonic() - start}
-    except preempt.PreemptedError as exc:
-        payload = {"ok": False, "preempted": True, "error": PREEMPT_ERROR,
-                   "message": str(exc),
-                   "ckpt": {"path": exc.path, "events": exc.events},
-                   "duration": time.monotonic() - start}
-    except BaseException as exc:   # report absolutely everything
-        import traceback as tb_mod
-        payload = {"ok": False, "error": type(exc).__name__,
-                   "message": str(exc),
-                   "traceback": tb_mod.format_exc()[-4000:],
-                   "duration": time.monotonic() - start}
-    if notes:
-        payload["notes"] = notes
-    try:
-        conn.send(payload)
-    except (BrokenPipeError, OSError):  # parent already gave up on us
-        pass
-    finally:
-        conn.close()
-
-
-#: sentinel distinguishing "recv from the pipe" from "payload is None
-#: because the worker died" in SupervisedPool's reap path
-_UNRECEIVED = object()
-
-
-class _ActiveTask:
-    """One live worker process and its deadline."""
-
-    __slots__ = ("spec", "key", "attempt", "proc", "conn", "started",
-                 "deadline")
-
-    def __init__(self, spec: ExperimentSpec, attempt: int, proc: Any,
-                 conn: Any, started: float,
-                 deadline: Optional[float]) -> None:
-        self.spec = spec
-        self.key = spec.key()
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
-
-
-class SupervisedPool:
-    """Process-per-task pool with watchdog, retries, and crash detection.
-
-    Compared to ``concurrent.futures.ProcessPoolExecutor``, giving every
-    point its own (forked) process buys three things the fault-tolerance
-    layer needs: a hung point can be killed without tearing down healthy
-    siblings, a worker that dies (``exit(137)``) is attributable to
-    exactly one spec, and one poisoned interpreter state can never leak
-    into later points.  The fork cost is microseconds next to a
-    seconds-long simulation.
-    """
-
-    def __init__(self, n_workers: int, retry: RetryPolicy,
-                 timeout_for: Callable[[ExperimentSpec], Optional[float]],
-                 supervisor: Optional[SweepSupervisor] = None,
-                 poll_interval: float = 0.05) -> None:
-        self.n_workers = max(1, n_workers)
-        self.retry = retry
-        self.timeout_for = timeout_for
-        self.supervisor = supervisor
-        self.poll_interval = poll_interval
-
-    # -- public ---------------------------------------------------------
-    def run(self, specs: Sequence[ExperimentSpec],
-            on_success: Callable[[ExperimentSpec, SimResult, float], None],
-            on_failure: Callable[[FailedResult], None],
-            on_retry: Optional[Callable[[ExperimentSpec, int, str], None]]
-            = None,
-            keep_going: bool = True) -> None:
-        """Resolve every spec, retrying transients; see module doc.
-
-        Raises :class:`PoolUnavailable` if processes cannot be created
-        (the caller falls back to serial execution for whatever has not
-        completed) and :class:`SweepInterrupted` on a supervised signal.
-        """
-        try:
-            import multiprocessing as mp
-            from multiprocessing.connection import wait as mp_wait
-        except ImportError as exc:   # stripped-down stdlib
-            raise PoolUnavailable(exc) from exc
-        ctx = mp.get_context()
-
-        # (spec, attempt, not-before) — retries wait out their backoff
-        queue: List[Tuple[ExperimentSpec, int, float]] = [
-            (spec, 0, 0.0) for spec in specs]
-        active: List[_ActiveTask] = []
-        aborted = False
-
-        def launch(spec: ExperimentSpec, attempt: int) -> None:
-            try:
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_supervised_worker,
-                                   args=(child_conn, spec.to_dict(), attempt),
-                                   daemon=True)
-                proc.start()
-            except (OSError, PermissionError, ValueError) as exc:
-                raise PoolUnavailable(exc) from exc
-            child_conn.close()
-            now = time.monotonic()
-            timeout = self.timeout_for(spec)
-            active.append(_ActiveTask(
-                spec, attempt, proc, parent_conn, now,
-                None if timeout is None else now + timeout))
-
-        def reap(task: _ActiveTask,
-                 payload: Any = _UNRECEIVED) -> None:
-            """A task's pipe is readable: result, reported error, or EOF
-            from a dead worker.  ``payload`` is passed pre-received when
-            :func:`repro.harness.preempt.try_preempt` already drained
-            the pipe."""
-            if payload is _UNRECEIVED:
-                try:
-                    payload = task.conn.recv()
-                except (EOFError, OSError):
-                    payload = None
-            task.conn.close()
-            task.proc.join()
-            active.remove(task)
-            if payload is not None:
-                self._record_notes(task.spec, payload)
-            if payload is None:
-                code = task.proc.exitcode
-                self._handle_bad(task, "crash", CRASH_ERROR,
-                                 f"worker exited with code {code}", "",
-                                 time.monotonic() - task.started,
-                                 requeue, fail)
-            elif payload.get("ok"):
-                on_success(task.spec,
-                           SimResult.from_dict(payload["result"]),
-                           payload["duration"])
-            elif payload.get("preempted"):
-                self._handle_bad(task, "preempted", payload["error"],
-                                 payload["message"], "",
-                                 payload.get("duration", 0.0),
-                                 requeue, fail, ckpt=payload.get("ckpt"))
-            else:
-                self._handle_bad(task, "error", payload["error"],
-                                 payload["message"],
-                                 payload.get("traceback", ""),
-                                 payload.get("duration", 0.0),
-                                 requeue, fail)
-
-        def kill(task: _ActiveTask, reason: str) -> None:
-            task.proc.terminate()
-            task.proc.join(1.0)
-            if task.proc.is_alive():   # SIGTERM ignored — escalate
-                task.proc.kill()
-                task.proc.join(1.0)
-            task.conn.close()
-            if task in active:
-                active.remove(task)
-
-        def requeue(task: _ActiveTask, error: str) -> None:
-            if on_retry is not None:
-                on_retry(task.spec, task.attempt, error)
-            if self.supervisor is not None:
-                self.supervisor.record_incident(
-                    "retry", task.spec, error=error, attempt=task.attempt)
-            delay = self.retry.delay(task.key, task.attempt)
-            queue.append((task.spec, task.attempt + 1,
-                          time.monotonic() + delay))
-
-        def fail(failure: FailedResult) -> None:
-            nonlocal aborted
-            on_failure(failure)
-            if not keep_going:
-                aborted = True
-
-        guards = preempt.guards_from_env()
-        guard_next = 0.0
-
-        def guard_sweep(now: float) -> None:
-            """RSS/disk budget checks (~1s cadence): breach -> preempt
-            the worker (clean checkpoint) or kill it; either way the
-            point requeues as ``preempted`` and resumes or restarts."""
-            ckpt_cfg = preempt.checkpoint_from_env()
-            disk_path = ckpt_cfg.dir if ckpt_cfg is not None else "."
-            for task in list(active):
-                breach = preempt.guard_breach(guards, task.proc.pid,
-                                              disk_path)
-                if breach is None:
-                    continue
-                if self.supervisor is not None:
-                    self.supervisor.record_incident(
-                        "guard", task.spec, reason=breach,
-                        worker=task.proc.pid)
-                if self._try_preempt(task, reap):
-                    continue
-                kill(task, "guard")
-                self._handle_bad(task, "preempted", PREEMPT_ERROR, breach,
-                                 "", now - task.started, requeue, fail)
-
-        try:
-            while queue or active:
-                if self.supervisor is not None and self.supervisor.interrupted:
-                    self._abort(active, kill)
-                    raise SweepInterrupted()
-                if aborted:
-                    self._abort(active, kill)
-                    queue.clear()
-                    break
-                now = time.monotonic()
-                while len(active) < self.n_workers:
-                    index = next((i for i, (_, _, nb) in enumerate(queue)
-                                  if nb <= now), None)
-                    if index is None:
-                        break
-                    spec, attempt, _ = queue.pop(index)
-                    launch(spec, attempt)
-                if not active:
-                    if queue:   # everything is backing off
-                        next_at = min(nb for _, _, nb in queue)
-                        time.sleep(min(0.25, max(0.0, next_at - now)))
-                    continue
-                wait_for = self.poll_interval
-                deadlines = [t.deadline for t in active
-                             if t.deadline is not None]
-                if deadlines:
-                    wait_for = min(wait_for,
-                                   max(0.0, min(deadlines) - now))
-                ready = mp_wait([t.conn for t in active], timeout=wait_for)
-                ready_set = set(ready)
-                for task in [t for t in active if t.conn in ready_set]:
-                    reap(task)
-                now = time.monotonic()
-                for task in [t for t in active
-                             if t.deadline is not None
-                             and now > t.deadline]:
-                    # Checkpoint-first: a preempted point resumes from
-                    # its save-state instead of repeating all its work.
-                    if self._try_preempt(task, reap):
-                        continue
-                    kill(task, "timeout")
-                    self._handle_bad(
-                        task, "timeout", TIMEOUT_ERROR,
-                        f"point exceeded its "
-                        f"{task.deadline - task.started:.0f}s deadline",
-                        "", now - task.started, requeue, fail)
-                if guards.enabled and now >= guard_next:
-                    guard_next = now + 1.0
-                    guard_sweep(now)
-        except PoolUnavailable:
-            self._abort(active, kill)
-            raise
-        except BaseException:
-            self._abort(active, kill)
-            raise
-
-    # -- internals ------------------------------------------------------
-    def _handle_bad(self, task: _ActiveTask, kind: str, error: str,
-                    message: str, traceback: str, duration: float,
-                    requeue: Callable[[_ActiveTask, str], None],
-                    fail: Callable[[FailedResult], None],
-                    ckpt: Optional[Dict[str, Any]] = None) -> None:
-        classify_failure(self.retry, self.supervisor, task.spec,
-                         task.attempt, kind, error, message, traceback,
-                         duration, lambda: requeue(task, error), fail,
-                         worker=task.proc.pid, ckpt=ckpt)
-
-    def _record_notes(self, spec: ExperimentSpec,
-                      payload: Dict[str, Any]) -> None:
-        """Turn a worker's restore annotations into incidents."""
-        if self.supervisor is None:
-            return
-        notes = payload.get("notes") or {}
-        if "resumed" in notes:
-            self.supervisor.record_incident("resumed", spec,
-                                            events=notes["resumed"])
-        if "quarantined" in notes:
-            self.supervisor.record_incident("ckpt-quarantined", spec,
-                                            reason=notes["quarantined"])
-
-    def _try_preempt(self, task: _ActiveTask,
-                     reap: Callable[..., None]) -> bool:
-        """Ask a live worker to checkpoint instead of killing it.
-
-        True when the worker answered within the grace period — whatever
-        payload arrived (a preempted report, or a normal result racing
-        the signal) has been routed through ``reap``.
-        """
-        if preempt.checkpoint_from_env() is None:
-            return False
-        payload = preempt.try_preempt(task.proc, task.conn)
-        if payload is None:
-            return False
-        reap(task, payload)
-        return True
-
-    @staticmethod
-    def _abort(active: List[_ActiveTask],
-               kill: Callable[[_ActiveTask, str], None]) -> None:
-        for task in list(active):
-            kill(task, "abort")
 
 
 # ----------------------------------------------------------------------

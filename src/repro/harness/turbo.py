@@ -1,32 +1,25 @@
-"""Sweep throughput: persistent warm workers (+ the sweep benchmark).
+"""The sweep worker pool: persistent warm workers.
 
-DESIGN.md §13 closed the per-event front: scheduling is a minority of
-wall time and no compiled backend is available, so the remaining
-order-of-magnitude lever is *sweep-level* amortization.  A paper-scale
-campaign runs thousands of short points, and the spawn pool
-(:class:`~repro.harness.supervise.SupervisedPool`) pays process fork +
-interpreter/numpy import + synthetic trace regeneration per point.  This
-module keeps a pool of long-lived workers that fork once with imports
-hot and serve tasks over pipes; with the content-addressed
+A paper-scale campaign runs thousands of short points, and forking a
+process per point would pay process start, interpreter imports and
+synthetic trace regeneration every time.  This module keeps a pool of
+long-lived workers that fork once with imports hot and serve tasks over
+pipes; with the content-addressed
 :class:`~repro.workloads.tracecache.TraceCache` beside it, a warm point
 pays for simulation only.
 
-Semantics are the spawn pool's, by construction: both flavors route
-every bad point through
-:func:`~repro.harness.supervise.classify_failure`, the watchdog kills a
-hung *worker* (not the pool) and the pool respawns it, crashes are
-attributed by exit code and pid, chaos disruptive faults stay
-worker-only, and SIGINT/manifest behavior lives in the caller
-(:func:`repro.harness.runner.run_many`) unchanged.  ``REPRO_POOL=spawn``
-selects the old process-per-task path; ``persistent`` (the default)
-selects this one.
+Supervision (:mod:`repro.harness.supervise`) is enforced per point: a
+transient failure is retried with backoff, a permanent one is recorded,
+the watchdog kills a hung *worker* (not the pool) and the pool respawns
+it, crashes are attributed by exit code and pid, chaos disruptive
+faults stay worker-only, and SIGINT/manifest behavior lives in the
+caller (:func:`repro.harness.runner.run_many`).
 
-One semantic addition the spawn pool never needed: workers outlive env
-changes in the parent, so every task ships a snapshot of the parent's
-``REPRO_*`` environment (:func:`worker_env_snapshot`) and the worker
-applies it before executing — sanitizer, chaos profile, and trace-cache
-location follow the parent explicitly instead of relying on fork-time
-inheritance.
+Workers outlive env changes in the parent, so every task ships a
+snapshot of the parent's ``REPRO_*`` environment
+(:func:`worker_env_snapshot`) and the worker applies it before
+executing — sanitizer, chaos profile, and trace-cache location follow
+the parent explicitly instead of relying on fork-time inheritance.
 """
 
 from __future__ import annotations
@@ -45,34 +38,24 @@ from .supervise import (
     CRASH_ERROR,
     TIMEOUT_ERROR,
     FailedResult,
-    PoolUnavailable,
     RetryPolicy,
     SweepInterrupted,
     SweepSupervisor,
-    classify_failure,
 )
 
 log = logging.getLogger(__name__)
-
-POOL_ENV = "REPRO_POOL"
-POOL_MODES = ("persistent", "spawn")
 
 #: sentinel distinguishing "recv from the pipe" from "payload is None
 #: because the worker died" in the pool's reap path
 _UNRECEIVED = object()
 
 
-def resolve_pool_mode(env: Optional[Dict[str, str]] = None) -> str:
-    """``REPRO_POOL`` -> ``"persistent"`` (default) or ``"spawn"``."""
-    raw = (env if env is not None else os.environ).get(POOL_ENV, "")
-    mode = raw.strip().lower()
-    if not mode:
-        return "persistent"
-    if mode in POOL_MODES:
-        return mode
-    log.warning("unknown %s=%r; using 'persistent' (options: %s)",
-                POOL_ENV, raw, "|".join(POOL_MODES))
-    return "persistent"
+class PoolUnavailable(Exception):
+    """The worker pool could not start or died mid-sweep."""
+
+    def __init__(self, reason: BaseException) -> None:
+        super().__init__(str(reason))
+        self.reason = reason
 
 
 def worker_env_snapshot() -> Dict[str, str]:
@@ -212,7 +195,7 @@ class _PoolWorker:
 
 
 class PersistentPool:
-    """Warm worker pool with the spawn pool's supervision semantics.
+    """Warm worker pool enforcing the sweep supervision contract.
 
     Workers fork once (imports, numpy, and the trace-cache memo already
     hot) and serve many tasks; a worker is killed and respawned only
@@ -314,7 +297,7 @@ class PersistentPool:
             timeout_for: Callable[[ExperimentSpec], Optional[float]],
             supervisor: Optional[SweepSupervisor] = None,
             keep_going: bool = True) -> None:
-        """Resolve every spec on the warm pool (SupervisedPool.run API).
+        """Resolve every spec on the warm pool, retrying transients.
 
         Raises :class:`PoolUnavailable` when no worker can be forked
         (the runner falls back to serial) and :class:`SweepInterrupted`
@@ -365,13 +348,36 @@ class PersistentPool:
 
         def classify(spec: ExperimentSpec, key: str, attempt: int,
                      kind: str, error: str, message: str, traceback: str,
-                     duration: float, pid: Optional[int],
+                     duration: float, pid: int,
                      ckpt: Optional[Dict[str, Any]] = None) -> None:
-            classify_failure(
-                retry, supervisor, spec, attempt, kind, error, message,
-                traceback, duration,
-                lambda: requeue(spec, key, attempt, error), fail,
-                worker=pid, ckpt=ckpt)
+            """Route one bad point: transient -> requeue, else fail.
+
+            Timeout, crash and preempt incidents name the worker ``pid``
+            that served the point; ``ckpt`` (``{"path", "events"}``)
+            names a preempted point's save-state, and the manifest
+            records it as checkpoint lineage, so the requeued attempt's
+            restore is auditable.
+            """
+            transient = retry.is_transient_name(error)
+            if supervisor is not None and kind in ("timeout", "crash",
+                                                   "preempted"):
+                extra: Dict[str, Any] = {"worker": pid}
+                if ckpt:
+                    extra["ckpt"] = ckpt.get("path")
+                    extra["events"] = ckpt.get("events")
+                supervisor.record_incident(kind, spec, error=error,
+                                           attempt=attempt, **extra)
+            if kind == "preempted" and supervisor is not None \
+                    and supervisor.manifest is not None:
+                supervisor.manifest.mark_preempted(spec,
+                                                   (ckpt or {}).get("path"))
+            if transient and attempt + 1 < retry.max_attempts:
+                requeue(spec, key, attempt, error)
+                return
+            fail(FailedResult(spec=spec, kind=kind, error=error,
+                              message=message, traceback=traceback,
+                              attempts=attempt + 1, duration=duration,
+                              permanent=not transient))
 
         def reap(worker: _PoolWorker, payload: Any = _UNRECEIVED) -> None:
             """A busy worker's pipe is readable: payload or EOF.

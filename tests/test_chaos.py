@@ -180,7 +180,6 @@ def test_chaotic_resumed_sweep_byte_identical_on_persistent_pool(
     from repro.harness.turbo import shutdown_shared_pool
     from repro.workloads.tracecache import reset_default_trace_cache
 
-    monkeypatch.setenv("REPRO_POOL", "persistent")
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_TIMEOUT", "5")
     specs = specs_for(WORKLOADS)

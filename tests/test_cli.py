@@ -228,11 +228,42 @@ def sweep_env(tmp_path, monkeypatch):
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
     yield store
-    # --chaos exports REPRO_CHAOS with a plain os.environ write, which
-    # monkeypatch would faithfully *restore* on undo — pop it directly.
-    os.environ.pop("REPRO_CHAOS", None)
+    # --chaos and the observer flags export with plain os.environ
+    # writes, which monkeypatch would faithfully *restore* on undo —
+    # pop them directly.
+    for var in ("REPRO_CHAOS", "REPRO_METRICS_INTERVAL", "REPRO_OBS_DIR"):
+        os.environ.pop(var, None)
     clear_memo()
     reset_default_store()
+
+
+#: the three commands that run a supervised sweep
+SUPERVISED = ("run", "sweep", "campaign")
+
+
+def supervised_argv(command, tmp_path):
+    """``(argv, incident tag, output marker)`` for a small one-worker
+    sweep through ``command``.  Chaos ``raise:11:1/3`` fails at least
+    one of its points and spares at least one."""
+    if command == "run":
+        return (["run", "462.libquantum", "--policies", "lru", "srrip",
+                 "care", "--records", "400", "--workers", "1"],
+                "run-462.libquantum", "records/core")
+    if command == "sweep":
+        return (["sweep", "fig07", "--workloads", "1", "--records", "200",
+                 "--workers", "1", "--quiet"], "sweep-fig07", "Fig. 7")
+    from repro.harness.campaign import CAMPAIGN_SCHEMA
+    path = tmp_path / "cli.json"
+    path.write_text(json.dumps({
+        "schema": CAMPAIGN_SCHEMA, "name": "cli",
+        "defaults": {"records": 200, "preset": "tiny"},
+        "grids": [{"id": "g1", "suite": "spec",
+                   "workloads": ["462.libquantum"],
+                   "policies": ["lru", "srrip", "care"], "cores": [1]}]}))
+    # campaign run writes its manifest to the current directory, which
+    # the autouse fixture keeps inside tmp_path
+    return (["campaign", "run", str(path), "--workers", "1", "--quiet"],
+            "campaign-cli", "point(s) in store")
 
 
 def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
@@ -268,33 +299,75 @@ def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
     assert table_of(resumed) == table_of(clean)
 
 
-def test_sweep_fail_fast_aborts(sweep_env, tmp_path, capsys):
-    assert main(["sweep", "fig07", "--workloads", "1", "--records", "200",
-                 "--workers", "1", "--quiet", "--fail-fast",
-                 "--obs-dir", str(tmp_path / "obs"),
-                 "--chaos", "raise:11:1/3"]) == 3
+@pytest.mark.parametrize("command", SUPERVISED)
+def test_sweep_fail_fast_aborts(command, sweep_env, tmp_path, capsys):
+    argv, _, marker = supervised_argv(command, tmp_path)
+    assert main(argv + ["--fail-fast", "--obs-dir", str(tmp_path / "obs"),
+                        "--chaos", "raise:11:1/3"]) == 3
     captured = capsys.readouterr()
-    assert "Fig. 7" not in captured.out      # aborted before the table
+    assert marker not in captured.out        # aborted before the output
     assert "point(s) failed" in captured.err
 
 
-def test_sweep_writes_incident_artifact(sweep_env, tmp_path, capsys):
+@pytest.mark.parametrize("command", SUPERVISED)
+def test_sweep_writes_incident_artifact(command, sweep_env, tmp_path,
+                                        capsys):
+    argv, tag, _ = supervised_argv(command, tmp_path)
     obs_dir = tmp_path / "obs"
-    assert main(["sweep", "fig07", "--workloads", "1", "--records", "200",
-                 "--workers", "1", "--quiet", "--obs-dir", str(obs_dir),
-                 "--chaos", "raise:11:1/3"]) == 3
+    assert main(argv + ["--obs-dir", str(obs_dir),
+                        "--chaos", "raise:11:1/3"]) == 3
     capsys.readouterr()
-    artifact = obs_dir / "sweep-fig07.incidents.json"
+    artifact = obs_dir / f"{tag}.incidents.json"
     assert artifact.is_file()
     payload = json.loads(artifact.read_text())
-    assert payload["tag"] == "sweep-fig07"
+    assert payload["tag"] == tag
     assert any(e["event"] == "failure" for e in payload["events"])
 
     # and `report --incidents` renders it as a markdown section
     assert main(["report", "--incidents", str(artifact)]) == 0
     out = capsys.readouterr().out
-    assert "### Incidents (sweep-fig07)" in out
+    assert f"### Incidents ({tag})" in out
     assert "ChaosError" in out
+
+
+@pytest.mark.parametrize("command", SUPERVISED)
+def test_sigint_mid_sweep_writes_incident_log(command, sweep_env, tmp_path,
+                                              monkeypatch, capsys):
+    """A real SIGINT after the first simulated point: exit 130, and the
+    incident log holds the supervisor's ``interrupt`` event."""
+    import os
+    import signal
+
+    from repro.harness.spec import ExperimentSpec
+    argv, tag, _ = supervised_argv(command, tmp_path)
+    execute = ExperimentSpec.execute
+    fired = []
+
+    def execute_then_interrupt(self, *args, **kwargs):
+        result = execute(self, *args, **kwargs)
+        if not fired:
+            fired.append(self)
+            os.kill(os.getpid(), signal.SIGINT)
+        return result
+
+    monkeypatch.setattr(ExperimentSpec, "execute", execute_then_interrupt)
+    obs_dir = tmp_path / "obs"
+    assert main(argv + ["--obs-dir", str(obs_dir)]) == 130
+    assert "interrupted with 1 point(s) done" in capsys.readouterr().err
+    payload = json.loads((obs_dir / f"{tag}.incidents.json").read_text())
+    assert any(e["event"] == "interrupt" for e in payload["events"])
+
+
+@pytest.mark.parametrize("command", SUPERVISED)
+def test_observers_write_metrics_for_every_simulated_point(
+        command, sweep_env, tmp_path, capsys):
+    argv, _, _ = supervised_argv(command, tmp_path)
+    obs_dir = tmp_path / "obs"
+    assert main(argv + ["--metrics-interval", "500",
+                        "--obs-dir", str(obs_dir)]) == 0
+    simulated = len(list(sweep_env.entries()))   # the store started empty
+    assert simulated > 0
+    assert len(list(obs_dir.glob("*.metrics.json"))) == simulated
 
 
 def test_run_command_reports_failures(sweep_env, tmp_path, capsys):

@@ -29,7 +29,7 @@ def fresh_sweep(points_per_s, n_records=SWEEP_SMOKE_RECORDS):
     n_points = len(sweep_grid(n_records))
     phase = {"wall_s": n_points / points_per_s, "points": n_points,
              "points_per_s": points_per_s, "simulated": n_points,
-             "pool_mode": "persistent", "fell_back_serial": False}
+             "fell_back_serial": False}
     section = {
         "grid": {"workloads": list(SWEEP_GRID_WORKLOADS),
                  "policies": list(SWEEP_GRID_POLICIES),
@@ -37,14 +37,10 @@ def fresh_sweep(points_per_s, n_records=SWEEP_SMOKE_RECORDS):
                  "points": n_points},
         "workers": 2,
         "repeat": 3,
-        "baseline": {"mode": "spawn pool, trace cache off",
-                     "passes": [phase], "best_points_per_s": points_per_s},
         "turbo_cold": phase,
         "turbo_warm": {"mode": "persistent pool, trace cache on",
                        "passes": [phase, phase],
                        "best_points_per_s": points_per_s},
-        "speedup_cold_vs_baseline": 1.0,
-        "speedup_warm_vs_baseline": 1.0,
     }
     return merge_sweep_section(None, section)
 

@@ -16,6 +16,7 @@ from repro.harness.store import (code_fingerprint, reset_default_store,
 from repro.harness.supervise import (ManifestPersistError, RetryPolicy,
                                      SweepInterrupted, SweepManifest,
                                      supervised_sweep)
+from repro.harness.turbo import shutdown_shared_pool
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
@@ -26,7 +27,7 @@ CKPT_VARS = ("REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS", "REPRO_CKPT_SECS",
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
-    for var in CKPT_VARS + ("REPRO_CHAOS", "REPRO_POOL", "REPRO_TIMEOUT"):
+    for var in CKPT_VARS + ("REPRO_CHAOS", "REPRO_TIMEOUT"):
         monkeypatch.delenv(var, raising=False)
     preempt.clear_preempt()
     clear_memo()
@@ -36,15 +37,7 @@ def isolated(tmp_path, monkeypatch):
     preempt.clear_preempt()
     clear_memo()
     reset_default_store()
-
-
-@pytest.fixture(params=["spawn", "persistent"])
-def pool_mode(request, monkeypatch):
-    monkeypatch.setenv("REPRO_POOL", request.param)
-    yield request.param
-    if request.param == "persistent":
-        from repro.harness.turbo import shutdown_shared_pool
-        shutdown_shared_pool()
+    shutdown_shared_pool()
 
 
 def specs_for(workloads, n_records=300):
@@ -230,7 +223,7 @@ def test_serial_sweep_preempted_points_resume_identically(
 
 
 def test_pool_sweep_preempted_points_resume_identically(
-        tmp_path, monkeypatch, pool_mode):
+        tmp_path, monkeypatch):
     specs = specs_for(WORKLOADS)
     clean = run_many(specs, workers=1, store=None)
     clear_memo()
@@ -311,9 +304,7 @@ def test_manifest_checkpoint_aborts_after_three_strikes(
 # SIGTERM mid-sweep on the persistent pool (parent side)
 # ----------------------------------------------------------------------
 def test_sigterm_mid_sweep_persistent_pool_flushes_and_resumes(
-        isolated, tmp_path, monkeypatch):
-    from repro.harness.turbo import shutdown_shared_pool
-    monkeypatch.setenv("REPRO_POOL", "persistent")
+        isolated, tmp_path):
     specs = specs_for(WORKLOADS)
     path = tmp_path / "m.json"
     fired = []

@@ -1,5 +1,5 @@
 """The supervision layer: failure values, retry policy, manifest
-checkpoint/resume, the supervised pool's watchdog, and signal handling."""
+checkpoint/resume, the worker pool's watchdog, and signal handling."""
 
 import json
 import os
@@ -16,6 +16,7 @@ from repro.harness.supervise import (CRASH_ERROR, TIMEOUT_ERROR,
                                      SweepManifest, active_supervisor,
                                      compute_timeout, format_failure_table,
                                      supervised_sweep)
+from repro.harness.turbo import shutdown_shared_pool
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
@@ -25,23 +26,13 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     monkeypatch.delenv("REPRO_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_POOL", raising=False)
     clear_memo()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
     yield store
     clear_memo()
     reset_default_store()
-
-
-@pytest.fixture(params=["spawn", "persistent"])
-def pool_mode(request, monkeypatch):
-    """Chaos-matrix tests run against both pool flavors (PR 5 / PR 7)."""
-    monkeypatch.setenv("REPRO_POOL", request.param)
-    yield request.param
-    if request.param == "persistent":
-        from repro.harness.turbo import shutdown_shared_pool
-        shutdown_shared_pool()
+    shutdown_shared_pool()
 
 
 def specs_for(workloads, n_records=300):
@@ -241,10 +232,25 @@ def test_sigint_mid_sweep_flushes_manifest_and_resumes(isolated, tmp_path):
     assert SweepManifest.load(path).counts()["done"] == len(specs)
 
 
+def test_sigint_mid_sweep_without_manifest_reports_pending(isolated):
+    """No manifest to count from: the pending count comes from the
+    sweep's own stats, so points that never ran are not reported as 0."""
+    specs = specs_for(WORKLOADS)
+
+    def interrupt_after_first(stats, spec, event):
+        if event == "simulated":
+            os.kill(os.getpid(), signal.SIGINT)
+
+    with supervised_sweep():
+        with pytest.raises(SweepInterrupted) as excinfo:
+            run_many(specs, workers=1, progress=interrupt_after_first)
+    assert "1 point(s) done, 2 pending" in str(excinfo.value)
+
+
 # ----------------------------------------------------------------------
-# Worker pools (both flavors): watchdog and crash recovery
+# Worker pool: watchdog and crash recovery
 # ----------------------------------------------------------------------
-def test_pool_watchdog_kills_hung_workers(pool_mode, monkeypatch):
+def test_pool_watchdog_kills_hung_workers(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "hang:5:1/1")
     monkeypatch.setenv("REPRO_TIMEOUT", "2")
     specs = specs_for(WORKLOADS[:2])
@@ -254,10 +260,10 @@ def test_pool_watchdog_kills_hung_workers(pool_mode, monkeypatch):
     assert all(r is not None for r in results)
     assert stats.timeouts == len(specs)     # every point hung once
     assert stats.failed == 0
-    assert stats.fell_back_serial or stats.pool_mode == pool_mode
+    assert stats.fell_back_serial or stats.pool_used
 
 
-def test_pool_recovers_crashed_workers(pool_mode, monkeypatch):
+def test_pool_recovers_crashed_workers(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "kill:5:1/1")
     specs = specs_for(WORKLOADS[:2])
     stats = SweepStats()
@@ -268,8 +274,7 @@ def test_pool_recovers_crashed_workers(pool_mode, monkeypatch):
     assert stats.failed == 0
 
 
-def test_pool_results_match_serial_under_chaos(isolated, pool_mode,
-                                               monkeypatch):
+def test_pool_results_match_serial_under_chaos(isolated, monkeypatch):
     """Chaos only perturbs scheduling, never results: a pool sweep under
     kill/flaky chaos is byte-identical to a clean serial sweep."""
     specs = specs_for(WORKLOADS)

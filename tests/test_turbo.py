@@ -1,6 +1,5 @@
-"""The warm worker pool (PR 7): mode resolution, env-snapshot shipping,
-worker reuse across sweeps, and the CLI's stdout/stderr purity when the
-store misbehaves."""
+"""The warm worker pool: env-snapshot shipping, worker reuse across
+sweeps, and the CLI's stdout/stderr purity when the store misbehaves."""
 
 import json
 
@@ -10,17 +9,15 @@ from repro.harness import ExperimentSpec, ResultStore, run_many
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import reset_default_store, set_default_store
 from repro.harness import turbo
-from repro.harness.turbo import (POOL_ENV, resolve_pool_mode, shared_pool,
-                                 shutdown_shared_pool, worker_env_snapshot,
-                                 _apply_env)
+from repro.harness.turbo import (shared_pool, shutdown_shared_pool,
+                                 worker_env_snapshot, _apply_env)
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
-    for var in ("REPRO_CHAOS", "REPRO_TIMEOUT", "REPRO_POOL",
-                "REPRO_TRACE_CACHE"):
+    for var in ("REPRO_CHAOS", "REPRO_TIMEOUT", "REPRO_TRACE_CACHE"):
         monkeypatch.delenv(var, raising=False)
     clear_memo()
     store = ResultStore(tmp_path / "store")
@@ -37,20 +34,8 @@ def specs_for(workloads, n_records=300):
 
 
 # ----------------------------------------------------------------------
-# Mode resolution and env snapshots
+# Env snapshots
 # ----------------------------------------------------------------------
-def test_resolve_pool_mode(monkeypatch, caplog):
-    assert resolve_pool_mode() == "persistent"        # default
-    monkeypatch.setenv(POOL_ENV, "spawn")
-    assert resolve_pool_mode() == "spawn"
-    monkeypatch.setenv(POOL_ENV, " Persistent ")
-    assert resolve_pool_mode() == "persistent"
-    monkeypatch.setenv(POOL_ENV, "turbo-encabulator")
-    with caplog.at_level("WARNING", logger="repro.harness.turbo"):
-        assert resolve_pool_mode() == "persistent"
-    assert "REPRO_POOL" in caplog.text
-
-
 def test_worker_env_snapshot_only_repro_vars(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     monkeypatch.setenv("PATH_LIKE_NOISE", "ignored")
@@ -72,12 +57,11 @@ def test_apply_env_mirrors_snapshot_exactly(monkeypatch):
 # ----------------------------------------------------------------------
 # The amortization claim: workers survive across run_many calls
 # ----------------------------------------------------------------------
-def test_pool_workers_are_reused_across_sweeps(monkeypatch):
-    monkeypatch.setenv(POOL_ENV, "persistent")
+def test_pool_workers_are_reused_across_sweeps():
     stats = SweepStats()
     run_many(specs_for(WORKLOADS[:2]), workers=2, store=None,
              stats_out=stats)
-    assert stats.pool_used and stats.pool_mode == "persistent"
+    assert stats.pool_used
     assert turbo._SHARED is not None
     first_pids = sorted(w.proc.pid for w in turbo._SHARED._workers)
     assert len(first_pids) == 2
@@ -111,8 +95,7 @@ def test_cli_sweep_process_exits_cleanly(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=os.path.join(repo, "src"),
                REPRO_RESULT_STORE=str(tmp_path / "store"),
-               REPRO_TRACE_CACHE=str(tmp_path / "traces"),
-               REPRO_POOL="persistent")
+               REPRO_TRACE_CACHE=str(tmp_path / "traces"))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "sweep", "fig07",
          "--workloads", "1", "--records", "200", "--workers", "2",
