@@ -7,7 +7,7 @@ PMC predicts future PMC per PC.
 
 from repro.analysis import format_table
 from repro.core.pmc import pmc_delta_summary
-from repro.harness import run_single
+from repro.harness import ExperimentSpec, run
 from repro.workloads import FIG5_WORKLOADS
 
 from common import emit, once
@@ -16,7 +16,8 @@ from common import emit, once
 def _collect():
     out = {}
     for name in FIG5_WORKLOADS:
-        res = run_single(name, "lru", prefetch=False, collect_deltas=True)
+        res = run(ExperimentSpec.single(name, "lru", prefetch=False,
+                                        collect_deltas=True))
         out[name] = pmc_delta_summary(res.pmc_deltas[0])
     return out
 

@@ -7,7 +7,7 @@ high-MPKI ones measure high.
 """
 
 from repro.analysis import format_table
-from repro.harness import run_single
+from repro.harness import ExperimentSpec, run
 from repro.workloads import SPEC_BENCHMARKS, spec_names
 
 from common import emit, once
@@ -16,7 +16,7 @@ from common import emit, once
 def _collect():
     out = {}
     for name in spec_names():
-        res = run_single(name, "lru", prefetch=False)
+        res = run(ExperimentSpec.single(name, "lru", prefetch=False))
         out[name] = res.mpki()
     return out
 

@@ -1,21 +1,20 @@
-"""Shared helpers for the per-figure benchmark modules.
+"""Shared helpers for the per-table benchmark modules.
 
-Each benchmark regenerates one paper table/figure as text: it prints the
-rows (visible with ``pytest -s`` / in benchmark output) and also writes them
-to ``benchmarks/results/<name>.txt`` so a full run leaves a reviewable
-artifact trail.
+Each benchmark regenerates one paper table that is not a figure grid as
+text: it prints the rows (visible with ``pytest -s`` / in benchmark
+output) and also writes them to ``benchmarks/results/<name>.txt`` so a
+full run leaves a reviewable artifact trail.  The figure grids and their
+claims live in ``benchmarks/campaigns/care-paper.json`` and are checked
+by ``python -m repro campaign report``.
 
 Every simulation point routes through :mod:`repro.harness.runner`, so a
 rerun in a fresh process serves previously-simulated points from the
 persistent result store (``$REPRO_RESULT_STORE``); conftest prints the
-cache-hit accounting at the end of the session.  Scale knobs are
-documented in :mod:`repro.harness.scale` (``REPRO_BENCH_*`` environment
-variables); ``REPRO_WORKERS`` parallelizes the sweeps.
+cache-hit accounting at the end of the session.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"

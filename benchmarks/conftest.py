@@ -1,5 +1,5 @@
-"""Make the shared helpers importable, report the bench scale in use, and
-summarize sweep-engine cache behaviour at the end of the session."""
+"""Make the shared helpers importable, report the result store in use,
+and summarize sweep-engine cache behaviour at the end of the session."""
 
 import sys
 from pathlib import Path
@@ -7,21 +7,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.harness.runner import session_stats  # noqa: E402
-from repro.harness.scale import get_scale  # noqa: E402
 from repro.harness.store import default_store  # noqa: E402
 
 
 def pytest_report_header(config):
-    scale = get_scale()
     store = default_store()
     where = str(store.namespace) if store is not None else "disabled"
-    return (
-        f"repro bench scale: records/core={scale.records} "
-        f"workloads={scale.workloads} mixes={scale.mixes} "
-        "(override with REPRO_BENCH_RECORDS / REPRO_BENCH_WORKLOADS / "
-        f"REPRO_BENCH_MIXES) | result store: {where} "
-        "(REPRO_RESULT_STORE) | workers: REPRO_WORKERS"
-    )
+    return f"repro result store: {where} (REPRO_RESULT_STORE)"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -29,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     stats = session_stats
     if stats.points == 0:
         return
-    terminalreporter.write_sep("-", "repro sweep engine")
+    terminalreporter.write_sep("-", "repro runner")
     terminalreporter.write_line(stats.summary())
     store = default_store()
     if store is not None:

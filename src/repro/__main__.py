@@ -7,22 +7,22 @@ Commands
 ``studycase``  print the Fig. 2 study case analysis (Tables I & II)
 ``hwcost``     print the Table V / VI hardware-cost accounting
 ``run``        simulate one workload under one or more LLC policies
-``sweep``      run a named figure sweep through the parallel runner
-``campaign``   declarative paper-scale campaigns (run|status|report|list)
+``campaign``   the paper's figures as data: run|status|report|list
 ``perf``       simulation-kernel throughput microbenchmarks (BENCH_perf.json)
 ``report``     render a stored run/sweep as a markdown or JSON report
 ``store``      inspect / repair the persistent result store (``fsck``)
 ``check``      SimSan static lint over the tree (see repro.checks.lint)
 
-``run``, ``sweep`` and ``campaign run`` accept observability flags
+``run`` and ``campaign run`` accept observability flags
 (``--metrics-interval``, ``--trace``) that attach the ``repro.obs``
 sampler/tracer to every freshly simulated point; artifacts land under
 ``--obs-dir``.
 
-``run`` and ``sweep`` resolve every point through the persistent result
-store (``~/.cache/repro-care/results`` or ``$REPRO_RESULT_STORE``), so
-repeated invocations reuse earlier simulations; ``--workers`` /
-``$REPRO_WORKERS`` fan fresh points out over a process pool.
+``run`` and ``campaign run`` resolve every point through the persistent
+result store (``~/.cache/repro-care/results`` or
+``$REPRO_RESULT_STORE``), so repeated invocations reuse earlier
+simulations; ``--workers`` / ``$REPRO_WORKERS`` fan fresh points out
+over a process pool.
 
 Sweeps run *supervised* (``repro.harness.supervise``): a failing point
 is retried with backoff, hung or crashed workers are killed and
@@ -31,7 +31,7 @@ while every healthy point finishes (``--fail-fast`` aborts instead).
 ``--manifest`` checkpoints campaign status so ``--resume`` picks up
 where an interrupted or partially failed sweep left off.
 
-``--checkpoint`` (run/sweep/campaign) enables mid-flight save-states
+``--checkpoint`` (run/campaign run) enables mid-flight save-states
 (``repro.harness.preempt``): watchdog timeouts and resource-guard
 breaches preempt workers cleanly, and the retried point *resumes* from
 its save-state instead of restarting — byte-identically.
@@ -137,7 +137,7 @@ def _cmd_hwcost(_args) -> int:
 
 
 def _enable_run_flags(args) -> bool:
-    """The prologue ``run``, ``sweep`` and ``campaign run`` share: export
+    """The prologue ``run`` and ``campaign run`` share: export
     the sanitizer, trace-cache, checkpoint and observer flags.  Returns
     True when any observer was enabled."""
     if args.sanitize:
@@ -268,7 +268,7 @@ def _finish_supervised(sup, incidents, failures, obs_dir) -> int:
 
 def _run_supervised(args, tag: str, execute, render,
                     observe_cached: bool = False) -> int:
-    """The one supervised path of ``run``, ``sweep`` and ``campaign run``.
+    """The one supervised path of ``run`` and ``campaign run``.
 
     ``execute(force)`` makes the command's ``run_many`` calls under the
     supervisor; ``render(value, sup)`` prints what a finished sweep
@@ -287,8 +287,8 @@ def _run_supervised(args, tag: str, execute, render,
     force = obs_on and observe_cached
     if obs_on and not force and not getattr(args, "no_store", False):
         print(f"[{name}] observability on: store-cached points are served "
-              "without artifacts; use an empty store (REPRO_RESULT_STORE, "
-              "or sweep --no-store) to observe every point", file=sys.stderr)
+              "without artifacts; use an empty store (REPRO_RESULT_STORE) "
+              "to observe every point", file=sys.stderr)
     try:
         ctx, incidents = _supervision_from_args(args, tag)
         with ctx as sup:
@@ -297,7 +297,7 @@ def _run_supervised(args, tag: str, execute, render,
             except SweepFailedError as exc:  # --fail-fast
                 return _finish_supervised(sup, incidents, exc.failures,
                                           args.obs_dir)
-    except (KeyError, ValueError) as exc:   # bad flag value or sweep name
+    except (KeyError, ValueError) as exc:   # bad flag value or name
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except SweepInterrupted as exc:
@@ -373,40 +373,6 @@ def _cmd_run(args) -> int:
         render, observe_cached=True)
 
 
-def _cmd_sweep(args) -> int:
-    from .harness.runner import session_stats
-    from .harness.scale import scale_override
-    from .harness.store import set_default_store
-    from .harness.sweeps import available_sweeps, run_sweep
-
-    if args.list or not args.name:
-        for name, title in available_sweeps():
-            print(f"{name:8s} {title}")
-        return 0
-    if args.no_store:
-        set_default_store(None)
-    overrides = {}
-    if args.records is not None:
-        overrides["records"] = args.records
-    if args.workloads is not None:
-        overrides["workloads"] = args.workloads
-    if args.mixes is not None:
-        overrides["mixes"] = args.mixes
-
-    def execute(_force) -> str:
-        with scale_override(**overrides):
-            return run_sweep(args.name, workers=args.workers,
-                             progress=not args.quiet)
-
-    def render(text, _sup) -> None:
-        print(text)
-        if session_stats.sweeps:
-            print(f"\n[sweep] {session_stats.sweeps[-1].summary()}")
-        print(f"[sweep] session total: {session_stats.summary()}")
-
-    return _run_supervised(args, f"sweep-{args.name}", execute, render)
-
-
 def _resolve_campaign(args):
     """Load + optionally slice the campaign named by the CLI args."""
     from .harness.campaign import apply_slice, find_campaign, load_campaign
@@ -443,8 +409,9 @@ def _cmd_campaign(args) -> int:
                 print(f"{path}: INVALID ({exc})")
                 continue
             slices = ", ".join(sorted(campaign.slices)) or "-"
-            print(f"{campaign.name:16s} {campaign.points():6d} point(s) "
-                  f"in {len(campaign.grids)} grid(s)  slices: {slices}")
+            print(f"{campaign.name:16s} {len(campaign.specs()):6d} distinct "
+                  f"point(s) in {len(campaign.grids)} grid(s)  "
+                  f"slices: {slices}")
         return 0
 
     try:
@@ -813,8 +780,7 @@ def _cmd_check(args) -> int:
 
 def _add_supervise_args(parser: argparse.ArgumentParser,
                         with_manifest: bool = False) -> None:
-    """Fault-tolerance flags shared by ``run``, ``sweep`` and
-    ``campaign run``."""
+    """Fault-tolerance flags shared by ``run`` and ``campaign run``."""
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first permanent failure "
                              "(default: finish healthy points, report a "
@@ -856,8 +822,7 @@ def _add_supervise_args(parser: argparse.ArgumentParser,
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by ``run``, ``sweep`` and
-    ``campaign run``."""
+    """Observability flags shared by ``run`` and ``campaign run``."""
     parser.add_argument("--metrics-interval", type=int, default=0,
                         metavar="CYCLES",
                         help="sample interval metrics every CYCLES cycles "
@@ -909,35 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "equivalent to REPRO_TRACE_CACHE)")
     _add_supervise_args(run)
     _add_obs_args(run)
-
-    sweep = sub.add_parser(
-        "sweep", help="run a named figure sweep through the parallel runner")
-    sweep.add_argument("name", nargs="?", default=None,
-                       help="figure name, e.g. fig07 (omit to list)")
-    sweep.add_argument("--list", action="store_true",
-                       help="list available sweeps")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default $REPRO_WORKERS or 1; "
-                            "0 = one per CPU)")
-    sweep.add_argument("--records", type=int, default=None,
-                       help="measured records per core")
-    sweep.add_argument("--workloads", type=int, default=None,
-                       help="SPEC workload count for the sweep")
-    sweep.add_argument("--mixes", type=int, default=None,
-                       help="mixed-workload count (fig10)")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress per-point progress lines")
-    sweep.add_argument("--no-store", action="store_true",
-                       help="skip the persistent result store")
-    sweep.add_argument("--sanitize", action="store_true",
-                       help="enable the runtime invariant sanitizer for "
-                            "every freshly simulated point")
-    sweep.add_argument("--trace-cache", default=None, metavar="DIR",
-                       help="content-addressed trace cache directory, or "
-                            "'off' (default ~/.cache/repro-care/traces; "
-                            "equivalent to REPRO_TRACE_CACHE)")
-    _add_supervise_args(sweep, with_manifest=True)
-    _add_obs_args(sweep)
 
     perf = sub.add_parser(
         "perf", help="simulation-kernel throughput microbenchmarks")
@@ -1106,7 +1042,6 @@ def main(argv: List[str] = None) -> int:
         "studycase": _cmd_studycase,
         "hwcost": _cmd_hwcost,
         "run": _cmd_run,
-        "sweep": _cmd_sweep,
         "campaign": _cmd_campaign,
         "perf": _cmd_perf,
         "report": _cmd_report,

@@ -150,16 +150,11 @@ TAINT_SINK_DOMAIN = ("repro.sim", "repro.core")
 #: SimResult (the trace cache is content-addressed; observers and
 #: save-states are golden-enforced byte-identical).
 TAINT_SANITIZERS: FrozenSet[str] = frozenset({
-    # lazy benchmark scaling: resolved before trace generation, part of
-    # the spec fingerprint
-    "repro.harness.scale.BenchScale.resolve",
-    "repro.harness.scale.BenchScale.value",
     # the PR 7 env-snapshot API is the sanctioned env boundary
     "repro.harness.turbo.worker_env_snapshot",
     "repro.harness.turbo._apply_env",
     # opt-in observers: attach-time config, observer contract keeps
     # observed runs byte-identical (golden suite re-checked observed)
-    "repro.checks.sanitize.sanitizer.sanitizer_from_env",
     "repro.checks.sanitize.sanitizer.sanitize_enabled",
     "repro.checks.sanitize.sanitizer.sanitize_interval",
     "repro.obs.schema.obs_from_env",
@@ -189,11 +184,9 @@ WORKER_ROOTS: FrozenSet[str] = frozenset({
 WORKER_ENV_API: FrozenSet[str] = frozenset({
     "repro.harness.turbo.worker_env_snapshot",
     "repro.harness.turbo._apply_env",
-    "repro.harness.scale.BenchScale.resolve",
     "repro.harness.supervise.RetryPolicy.from_env",
     "repro.harness.supervise.compute_timeout",
     "repro.checks.chaos.chaos_from_env",
-    "repro.checks.sanitize.sanitizer.sanitizer_from_env",
     "repro.checks.sanitize.sanitizer.sanitize_enabled",
     "repro.checks.sanitize.sanitizer.sanitize_interval",
     "repro.obs.schema.obs_from_env",

@@ -81,7 +81,7 @@ _RULES = [
         name="import-time-env-read",
         summary="os.environ read at import time",
         hint="read the environment lazily inside a function (see "
-             "harness.scale.BenchScale); import-time reads freeze config "
+             "harness.store.default_store); import-time reads freeze config "
              "before callers can set it, and a pool worker would never "
              "see the per-task REPRO_* snapshot",
         scope="all",

@@ -383,25 +383,6 @@ def gate_sweep_regression(base: Dict, fresh: Dict,
     return "ok", msg
 
 
-def merge_smoke_sweep_section(existing: Optional[Dict],
-                              section: Dict) -> Dict:
-    """Fold a *smoke-sized* sweep section into a payload under
-    ``sweep_smoke`` (the CI gate's baseline key), like
-    :func:`merge_sweep_section` does for the full-size grid."""
-    from .store import code_fingerprint
-    payload = dict(existing) if existing else {
-        "schema": SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "fingerprint": code_fingerprint()[:16],
-        "cases": {},
-    }
-    payload["sweep_smoke"] = section
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return payload
-
-
 def format_payload(payload: Dict) -> str:
     """Human-readable table of one suite payload."""
     from ..analysis import format_table

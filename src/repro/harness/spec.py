@@ -3,9 +3,8 @@
 Every paper figure is a sweep over (workload, policy, core count,
 prefetch); :class:`ExperimentSpec` captures one such point as a frozen,
 hashable, picklable value.  The runner executes specs (possibly in a
-worker pool), the store content-addresses them, and the legacy
-``run_multicopy`` / ``run_mix`` helpers are thin wrappers that build a
-spec and hand it to :func:`repro.harness.runner.run`.
+worker pool), the store content-addresses them, and campaigns
+(:mod:`repro.harness.campaign`) expand the paper's figures into them.
 
 A spec fully determines its result: traces are generated from
 ``(workload, suite, seed, n_records)``, the machine from
@@ -82,11 +81,10 @@ class ExperimentSpec:
                   collect_deltas: bool = False,
                   preset: str = "default") -> "ExperimentSpec":
         """Multi-copy workload point (Figs. 3, 7-9, 11-14, Tables X-XI)."""
-        from .scale import get_scale
+        if n_records is None:
+            n_records = cls.n_records
         return cls(workload=workload, policy=policy, n_cores=n_cores,
-                   prefetch=prefetch, suite=suite,
-                   n_records=(get_scale().records if n_records is None
-                              else n_records),
+                   prefetch=prefetch, suite=suite, n_records=n_records,
                    seed=seed, collect_deltas=collect_deltas, preset=preset)
 
     @classmethod
@@ -104,11 +102,10 @@ class ExperimentSpec:
             prefetch: bool = True, n_records: Optional[int] = None,
             seed: int = 3) -> "ExperimentSpec":
         """Fig. 10 mixed-workload point."""
-        from .scale import get_scale
+        if n_records is None:
+            n_records = cls.n_records
         return cls(workload="", policy=policy, n_cores=n_cores,
-                   prefetch=prefetch, suite="mix",
-                   n_records=(get_scale().records if n_records is None
-                              else n_records),
+                   prefetch=prefetch, suite="mix", n_records=n_records,
                    seed=seed, mix_id=mix_id)
 
     # -- identity -------------------------------------------------------

@@ -17,7 +17,7 @@ This module supplies the machinery the runner builds on:
   killing and respawning a hung worker.
 * :class:`SweepManifest` — a checkpoint file (atomic rename, like the
   result store) tracking done/failed/pending point keys, so
-  ``python -m repro sweep --resume`` continues a killed campaign.
+  ``python -m repro campaign run --resume`` continues a killed campaign.
 * :class:`SweepSupervisor` / :func:`supervised_sweep` — the process-wide
   context the CLI installs around a sweep: failure collection across
   every ``run_many`` call, SIGINT/SIGTERM handlers that flush the

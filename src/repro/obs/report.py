@@ -14,9 +14,10 @@ come from the same :func:`build_report` dict.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.metrics import (geometric_mean, normalized_ipc,
+                                normalized_weighted_ipc, total_ipc)
 from ..harness.spec import ExperimentSpec
 from ..harness.store import ResultStore
 from ..sim.stats import SimResult
@@ -24,25 +25,61 @@ from .schema import OBS_SCHEMA_VERSION
 
 DEFAULT_BASELINE = "lru"
 
-
-def _geomean(values: Sequence[float]) -> float:
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positives) / len(positives))
+#: the SimResult statistic behind each per-point campaign metric
+_RESULT_METRICS = {"pmr": "pmr", "mean_pmc": "mean_pmc", "aocpa": "aocpa",
+                   "hit_miss_overlap": "hit_miss_overlap_fraction"}
 
 
-def _policy_cell(result: SimResult) -> Dict[str, Any]:
-    conc = result.conc_total
-    mass = sum(conc.pmc_histogram)
-    return {
-        "sum_ipc": sum(result.ipc),
+def _pmc_hist_share(result: SimResult) -> List[float]:
+    """Each PMC histogram bin's share of the measured LLC misses."""
+    hist = result.conc_total.pmc_histogram
+    mass = sum(hist)
+    return [v / mass if mass else 0.0 for v in hist]
+
+
+def metric_value(metric: str, result: SimResult,
+                 base: Optional[SimResult] = None,
+                 alone_ipc: Sequence[float] = ()) -> Any:
+    """One point's value of a campaign grid metric
+    (:data:`repro.harness.campaign.METRICS`): ``speedup`` and
+    ``weighted_ipc`` are relative to the baseline policy's ``base``
+    point (weighted IPC also to the slots' IPC-alone values), the rest
+    are statistics of the point itself."""
+    if metric == "speedup":
+        return normalized_ipc(result, base)
+    if metric == "weighted_ipc":
+        return normalized_weighted_ipc(result, base, alone_ipc)
+    if metric == "pmc_hist":
+        return _pmc_hist_share(result)
+    return getattr(result, _RESULT_METRICS[metric])
+
+
+def aggregate(metric: str, values: Sequence[Any]) -> Any:
+    """A grid's per-point values of ``metric`` folded the paper's way:
+    geometric mean of ratios, arithmetic mean (bin by bin for the PMC
+    histogram) of everything else."""
+    if metric in ("speedup", "weighted_ipc"):
+        return geometric_mean(values)
+    if metric == "pmc_hist":
+        return [sum(col) / len(values) for col in zip(*values)]
+    return sum(values) / len(values)
+
+
+def _policy_cell(result: SimResult,
+                 base: Optional[SimResult]) -> Dict[str, Any]:
+    cell = {
+        "sum_ipc": total_ipc(result),
         "mpki": result.mpki(),
         "pmr": result.pmr,
         "mean_pmc": result.mean_pmc,
-        "pmc_hist_share": [
-            round(v / mass, 4) if mass else 0.0 for v in conc.pmc_histogram],
+        "pmc_hist_share": [round(v, 4) for v in _pmc_hist_share(result)],
+        "speedup": None,
+        "mpki_delta": None,
     }
+    if base is not None and total_ipc(base) > 0:
+        cell["speedup"] = normalized_ipc(result, base)
+        cell["mpki_delta"] = cell["mpki"] - base.mpki()
+    return cell
 
 
 def build_report(entries: Sequence[Tuple[ExperimentSpec, SimResult]],
@@ -62,8 +99,8 @@ def build_report(entries: Sequence[Tuple[ExperimentSpec, SimResult]],
         rkey = (workload, spec.n_records, spec.seed)
         row = section["rows"].setdefault(rkey, {
             "workload": workload, "n_records": spec.n_records,
-            "seed": spec.seed, "per_policy": {}})
-        row["per_policy"][spec.policy] = _policy_cell(result)
+            "seed": spec.seed, "results": {}})
+        row["results"][spec.policy] = result
 
     out_sections: List[Dict[str, Any]] = []
     for skey in sorted(sections):
@@ -73,21 +110,17 @@ def build_report(entries: Sequence[Tuple[ExperimentSpec, SimResult]],
             key=lambda p: (p != baseline, p))  # baseline first, then name
         rows = [section["rows"][rk] for rk in sorted(section["rows"])]
         for row in rows:
-            base_cell = row["per_policy"].get(baseline)
-            for policy, cell in row["per_policy"].items():
-                if base_cell is not None and base_cell["sum_ipc"] > 0:
-                    cell["speedup"] = cell["sum_ipc"] / base_cell["sum_ipc"]
-                    cell["mpki_delta"] = cell["mpki"] - base_cell["mpki"]
-                else:
-                    cell["speedup"] = None
-                    cell["mpki_delta"] = None
+            results = row.pop("results")
+            base = results.get(baseline)
+            row["per_policy"] = {policy: _policy_cell(result, base)
+                                 for policy, result in results.items()}
         geomean = {}
         for policy in policies:
             speedups = [row["per_policy"][policy]["speedup"]
                         for row in rows
                         if policy in row["per_policy"]
                         and row["per_policy"][policy]["speedup"] is not None]
-            geomean[policy] = _geomean(speedups) if speedups else None
+            geomean[policy] = geometric_mean(speedups) if speedups else None
         out_sections.append({
             "suite": section["suite"], "n_cores": section["n_cores"],
             "prefetch": section["prefetch"], "preset": section["preset"],

@@ -1,9 +1,8 @@
-"""ASCII charts and seed-replication harness."""
+"""ASCII charts."""
 
 import pytest
 
 from repro.analysis.charts import line_chart, scaling_chart
-from repro.harness.replication import replicated_speedups
 
 
 # ----------------------------------------------------------------------
@@ -49,18 +48,3 @@ def test_scaling_chart_shape():
     out = scaling_chart(table)
     assert "cores" in out and "speedup over LRU" in out
     assert "care" in out
-
-
-# ----------------------------------------------------------------------
-# replication harness (miniature runs)
-# ----------------------------------------------------------------------
-
-def test_replicated_speedups_summary():
-    stats = replicated_speedups("462.libquantum", ["lru", "srrip"],
-                                n_cores=1, prefetch=False,
-                                n_records=800, seeds=(0, 1))
-    assert set(stats) == {"srrip"}
-    s = stats["srrip"]
-    assert s.n == 2
-    assert s.mean > 0
-    assert s.ci_low <= s.mean <= s.ci_high

@@ -71,41 +71,40 @@ def test_run_command_json(capsys):
     assert res.policy == "lru" and res.n_cores == 1
 
 
-def test_sweep_list(capsys):
-    assert main(["sweep", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig07" in out and "fig13" in out
-    assert main(["sweep"]) == 0          # bare `sweep` also lists
-    assert "fig07" in capsys.readouterr().out
+def write_campaign(tmp_path):
+    """A three-point one-core campaign file (tiny preset, 200 records)."""
+    from repro.harness.campaign import CAMPAIGN_SCHEMA
+    path = tmp_path / "cli.json"
+    path.write_text(json.dumps({
+        "schema": CAMPAIGN_SCHEMA, "name": "cli",
+        "defaults": {"records": 200, "preset": "tiny"},
+        "grids": [{"id": "g1", "suite": "spec",
+                   "workloads": ["462.libquantum"],
+                   "policies": ["lru", "srrip", "care"], "cores": [1]}]}))
+    return path
 
 
 def test_sweep_command_runs_and_reports(capsys, tmp_path):
     from repro.harness.store import (ResultStore, reset_default_store,
                                      set_default_store)
     from repro.harness.runner import clear_memo
+    argv = ["campaign", "run", str(write_campaign(tmp_path)),
+            "--workers", "1", "--quiet"]
     clear_memo()
-    set_default_store(ResultStore(tmp_path))
+    set_default_store(ResultStore(tmp_path / "store"))
     try:
-        assert main(["sweep", "fig07", "--workloads", "1", "--records",
-                     "200", "--workers", "1", "--quiet"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "Fig. 7" in out and "429.mcf" in out
+        assert "3/3 distinct point(s) in store" in out
         assert "simulated" in out        # sweep stats line
         # fresh "process": memo dropped, second run is all store hits
         clear_memo()
-        assert main(["sweep", "fig07", "--workloads", "1", "--records",
-                     "200", "--workers", "1", "--quiet"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "6 store hits, 0 simulated" in out
+        assert "3 store hits, 0 simulated" in out
     finally:
         clear_memo()
         reset_default_store()
-
-
-def test_sweep_unknown_name(capsys):
-    assert main(["sweep", "nope"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown sweep 'nope'" in err and "available" in err
 
 
 def test_run_rejects_zero_records(capsys):
@@ -237,8 +236,8 @@ def sweep_env(tmp_path, monkeypatch):
     reset_default_store()
 
 
-#: the three commands that run a supervised sweep
-SUPERVISED = ("run", "sweep", "campaign")
+#: the two commands that run a supervised sweep
+SUPERVISED = ("run", "campaign")
 
 
 def supervised_argv(command, tmp_path):
@@ -249,34 +248,26 @@ def supervised_argv(command, tmp_path):
         return (["run", "462.libquantum", "--policies", "lru", "srrip",
                  "care", "--records", "400", "--workers", "1"],
                 "run-462.libquantum", "records/core")
-    if command == "sweep":
-        return (["sweep", "fig07", "--workloads", "1", "--records", "200",
-                 "--workers", "1", "--quiet"], "sweep-fig07", "Fig. 7")
-    from repro.harness.campaign import CAMPAIGN_SCHEMA
-    path = tmp_path / "cli.json"
-    path.write_text(json.dumps({
-        "schema": CAMPAIGN_SCHEMA, "name": "cli",
-        "defaults": {"records": 200, "preset": "tiny"},
-        "grids": [{"id": "g1", "suite": "spec",
-                   "workloads": ["462.libquantum"],
-                   "policies": ["lru", "srrip", "care"], "cores": [1]}]}))
     # campaign run writes its manifest to the current directory, which
     # the autouse fixture keeps inside tmp_path
-    return (["campaign", "run", str(path), "--workers", "1", "--quiet"],
+    return (["campaign", "run", str(write_campaign(tmp_path)),
+             "--workers", "1", "--quiet"],
             "campaign-cli", "point(s) in store")
 
 
 def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
                                                    capsys):
     import os
-    manifest = str(tmp_path / "m.json")
-    base = ["sweep", "fig07", "--workloads", "1", "--records", "200",
-            "--workers", "1", "--quiet", "--manifest", manifest,
+
+    from repro.harness.runner import clear_memo
+    from repro.harness.store import ResultStore, set_default_store
+    path = str(write_campaign(tmp_path))
+    base = ["campaign", "run", path, "--workers", "1", "--quiet",
+            "--manifest", str(tmp_path / "m.json"),
             "--obs-dir", str(tmp_path / "obs")]
     assert main(base + ["--chaos", "raise:11:1/3"]) == 3
     captured = capsys.readouterr()
-    assert "Fig. 7" in captured.out          # healthy points finished
-    assert "-" in captured.out               # failed cells render holes
+    assert "point(s) in store" in captured.out   # healthy points finished
     assert "point(s) failed" in captured.err
     assert "ChaosError" in captured.err
     assert "--resume" in captured.err
@@ -284,19 +275,22 @@ def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
     # chaos off + --resume completes and matches a fault-free sweep
     # (plain pop: --chaos exported it with a raw os.environ write)
     os.environ.pop("REPRO_CHAOS", None)
-    from repro.harness.runner import clear_memo
     clear_memo()
     assert main(base + ["--resume"]) == 0
-    resumed = capsys.readouterr().out
+    clean = ResultStore(tmp_path / "clean")
+    set_default_store(clean)
     clear_memo()
-    assert main(["sweep", "fig07", "--workloads", "1", "--records", "200",
-                 "--workers", "1", "--quiet"]) == 0
-    clean = capsys.readouterr().out
+    assert main(["campaign", "run", path, "--workers", "1", "--quiet",
+                 "--manifest", str(tmp_path / "clean.json")]) == 0
+    capsys.readouterr()
 
-    def table_of(text):
-        return [ln for ln in text.splitlines()
-                if ln.startswith(("workload", "429.mcf", "GEOMEAN", "---"))]
-    assert table_of(resumed) == table_of(clean)
+    def report(store):
+        assert main(["campaign", "report", path, "--store", str(store.root),
+                     "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["grids"]
+    resumed = report(sweep_env)
+    assert resumed[0]["done"] == 3
+    assert resumed == report(clean)
 
 
 @pytest.mark.parametrize("command", SUPERVISED)
@@ -381,10 +375,11 @@ def test_run_command_reports_failures(sweep_env, tmp_path, capsys):
     assert "ChaosError" in captured.err
 
 
-def test_supervise_flag_validation(capsys):
-    assert main(["sweep", "fig07", "--chaos", "explode:1"]) == 2
+def test_supervise_flag_validation(capsys, tmp_path):
+    path = str(write_campaign(tmp_path))
+    assert main(["campaign", "run", path, "--chaos", "explode:1"]) == 2
     assert "unknown chaos fault" in capsys.readouterr().err
-    assert main(["sweep", "fig07", "--retries", "0"]) == 2
+    assert main(["campaign", "run", path, "--retries", "0"]) == 2
     assert "--retries" in capsys.readouterr().err
     assert main(["run", "429.mcf", "--timeout", "-1"]) == 2
     assert "--timeout" in capsys.readouterr().err
@@ -418,7 +413,7 @@ def test_run_with_checkpoint_flag_absorbs_preempt_chaos(sweep_env,
 def test_store_fsck_validates_manifests(sweep_env, tmp_path, capsys):
     import os
     manifest = tmp_path / "m.manifest.json"
-    assert main(["sweep", "fig07", "--workloads", "1", "--records", "200",
+    assert main(["campaign", "run", str(write_campaign(tmp_path)),
                  "--workers", "1", "--quiet",
                  "--manifest", str(manifest)]) == 0
     capsys.readouterr()

@@ -453,6 +453,17 @@ def test_repo_hot_manifest_matches_derived_closure():
     assert set(HOT_PATH_MANIFEST) <= rep.hot_derived
 
 
+def test_repo_flow_allowlists_name_real_functions():
+    from repro.checks.flow.rules import (TAINT_SANITIZERS, WORKER_ENV_API,
+                                         WORKER_ROOTS)
+    functions = run_flow([REPO_SRC]).index.functions
+    for name, allowlist in (("TAINT_SANITIZERS", TAINT_SANITIZERS),
+                            ("WORKER_ENV_API", WORKER_ENV_API),
+                            ("WORKER_ROOTS", WORKER_ROOTS)):
+        stale = sorted(q for q in allowlist if q not in functions)
+        assert not stale, f"{name} names undefined functions: {stale}"
+
+
 def test_repo_suppressions_all_used():
     rep = run_flow([REPO_SRC])
     from repro.checks.lint import run_lint_detailed

@@ -1,117 +1,50 @@
-"""Experiment harness: caching, sweeps, cachesim."""
+"""Experiment harness: the runner's memo, single and multi-copy points,
+cachesim."""
 
 import pytest
 
-from repro.harness import (
-    bench_gap_workloads,
-    bench_spec_workloads,
-    clear_cache,
-    run_multicopy,
-    run_single,
-    simulate_cache,
-    speedup_sweep,
-)
-from repro.harness.experiment import _result_cache
-
-
-def test_bench_workload_lists():
-    assert len(bench_spec_workloads(4)) == 4
-    assert len(bench_spec_workloads(30)) == 30
-    gaps = bench_gap_workloads(3)
-    assert len(gaps) == 3
+from repro.harness import ExperimentSpec, run, simulate_cache
+from repro.harness.runner import _MEMO, clear_memo
 
 
 def test_run_single_is_cached():
-    clear_cache()
-    a = run_single("462.libquantum", "lru", n_records=600)
-    size = len(_result_cache)
-    b = run_single("462.libquantum", "lru", n_records=600)
+    clear_memo()
+    a = run(ExperimentSpec.single("462.libquantum", "lru", n_records=600))
+    size = len(_MEMO)
+    b = run(ExperimentSpec.single("462.libquantum", "lru", n_records=600))
     assert a is b
-    assert len(_result_cache) == size
+    assert len(_MEMO) == size
 
 
 def test_cache_key_distinguishes_parameters():
-    clear_cache()
-    run_single("462.libquantum", "lru", n_records=600)
-    run_single("462.libquantum", "lru", n_records=600, prefetch=True)
-    run_single("462.libquantum", "srrip", n_records=600)
-    assert len(_result_cache) == 3
+    clear_memo()
+    run(ExperimentSpec.single("462.libquantum", "lru", n_records=600))
+    run(ExperimentSpec.single("462.libquantum", "lru", n_records=600,
+                              prefetch=True))
+    run(ExperimentSpec.single("462.libquantum", "srrip", n_records=600))
+    assert len(_MEMO) == 3
 
 
-def test_speedup_sweep_structure():
-    clear_cache()
-    table = speedup_sweep(["462.libquantum"], ["lru", "srrip"], n_cores=1,
-                          prefetch=False, n_records=600)
-    assert set(table) == {"462.libquantum", "GEOMEAN"}
-    assert table["462.libquantum"]["lru"] == pytest.approx(1.0)
-    assert table["GEOMEAN"]["srrip"] > 0
-
-
-def test_run_multicopy_core_count():
-    clear_cache()
-    res = run_multicopy("470.lbm", "lru", n_cores=2, prefetch=False,
-                        n_records=500)
+def test_multicopy_core_count():
+    clear_memo()
+    res = run(ExperimentSpec.multicopy("470.lbm", "lru", n_cores=2,
+                                       prefetch=False, n_records=500))
     assert res.n_cores == 2
 
 
 def test_gap_suite_runs():
-    clear_cache()
-    res = run_multicopy("bfs-or", "lru", n_cores=1, prefetch=False,
-                        suite="gap", n_records=500)
+    clear_memo()
+    res = run(ExperimentSpec.multicopy("bfs-or", "lru", n_cores=1,
+                                       prefetch=False, suite="gap",
+                                       n_records=500))
     assert res.ipc[0] > 0
 
 
-# ----------------------------------------------------------------------
-# BenchScale (programmatic scaling, replacing import-time env reads)
-# ----------------------------------------------------------------------
-
-def test_bench_scale_env_defaults(monkeypatch):
-    from repro.harness.scale import BenchScale
-    monkeypatch.setenv("REPRO_BENCH_RECORDS", "1234")
-    monkeypatch.setenv("REPRO_BENCH_WORKLOADS", "5")
-    scale = BenchScale.from_env()
-    assert scale.records == 1234
-    assert scale.workloads == 5
-    assert scale.mixes == 10
-
-
-def test_bench_scale_programmatic_override():
-    from repro.harness import BenchScale, get_scale, set_scale
-    from repro.harness.spec import ExperimentSpec
-    original = get_scale()
-    try:
-        set_scale(BenchScale(records=777, workloads=2, mixes=3))
-        assert get_scale().records == 777
-        assert len(bench_spec_workloads()) == 2
-        # spec factories resolve their default trace length from the scale
-        assert ExperimentSpec.multicopy("429.mcf", "lru").n_records == 777
-    finally:
-        set_scale(original)
-
-
-def test_scale_override_context_manager():
-    from repro.harness import get_scale, scale_override
-    before = get_scale()
-    with scale_override(workloads=1) as scale:
-        assert scale.workloads == 1
-        assert get_scale() is scale
-        assert len(bench_spec_workloads()) == 1
-    assert get_scale() == before
-
-
-def test_legacy_scale_constants_resolve_lazily():
-    from repro import harness
-    from repro.harness import BenchScale, get_scale, set_scale
-    from repro.harness import experiment
-    original = get_scale()
-    try:
-        set_scale(BenchScale(records=4321))
-        assert experiment.BENCH_RECORDS == 4321
-        assert harness.BENCH_RECORDS == 4321
-    finally:
-        set_scale(original)
-    with pytest.raises(AttributeError):
-        experiment.BENCH_NOPE
+def test_spec_factories_default_to_the_spec_record_count():
+    default = ExperimentSpec("429.mcf", "lru").n_records
+    assert ExperimentSpec.multicopy("429.mcf", "lru").n_records == default
+    assert ExperimentSpec.single("429.mcf").n_records == default
+    assert ExperimentSpec.mix(0, "lru").n_records == default
 
 
 # ----------------------------------------------------------------------

@@ -143,13 +143,15 @@ def test_parallel_speedup_on_four_points(isolated_store):
 
 
 def test_legacy_helpers_route_through_engine(isolated_store):
-    from repro.harness import run_single
-    from repro.harness.experiment import _result_cache
+    """A point built by a spec helper (``ExperimentSpec.single``) and run
+    through ``run`` lands in the memo and the store, like every sweep
+    point."""
+    from repro.harness.runner import _MEMO
     clear_memo()
-    res = run_single("462.libquantum", "lru", n_records=400)
-    assert len(_result_cache) == 1
-    (spec,) = _result_cache
+    res = run(ExperimentSpec.single("462.libquantum", "lru", n_records=400))
+    assert len(_MEMO) == 1
+    (spec,) = _MEMO
     assert isinstance(spec, ExperimentSpec)
     assert spec.n_records == 400 and spec.n_cores == 1
-    assert _result_cache[spec] is res
+    assert _MEMO[spec] is res
     assert isolated_store.stats()["writes"] == 1

@@ -96,10 +96,15 @@ def test_cli_sweep_process_exits_cleanly(tmp_path):
                PYTHONPATH=os.path.join(repo, "src"),
                REPRO_RESULT_STORE=str(tmp_path / "store"),
                REPRO_TRACE_CACHE=str(tmp_path / "traces"))
+    campaign = tmp_path / "exit.json"
+    campaign.write_text(json.dumps({
+        "schema": "repro.campaign/v1", "name": "exit",
+        "defaults": {"records": 200},
+        "grids": [{"id": "g", "suite": "spec", "workloads": ["429.mcf"],
+                   "policies": ["lru", "srrip", "care"], "cores": [4]}]}))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "sweep", "fig07",
-         "--workloads", "1", "--records", "200", "--workers", "2",
-         "--quiet"],
+        [sys.executable, "-m", "repro", "campaign", "run", str(campaign),
+         "--workers", "2", "--quiet"],
         cwd=tmp_path, env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
