@@ -21,8 +21,10 @@ sampler/tracer to every freshly simulated point; artifacts land under
 ``run`` and ``campaign run`` resolve every point through the persistent
 result store (``~/.cache/repro-care/results`` or
 ``$REPRO_RESULT_STORE``), so repeated invocations reuse earlier
-simulations; ``--workers`` / ``$REPRO_WORKERS`` fan fresh points out
-over a process pool.
+simulations; ``--workers`` fans fresh points out over a process pool.
+Their flags become one :class:`~repro.harness.config.RunConfig` per
+invocation, which travels to every worker in the task messages; the
+environment holds only the deployment settings that module lists.
 
 Sweeps run *supervised* (``repro.harness.supervise``): a failing point
 is retried with backoff, hung or crashed workers are killed and
@@ -136,64 +138,40 @@ def _cmd_hwcost(_args) -> int:
     return 0
 
 
-def _enable_run_flags(args) -> bool:
-    """The prologue ``run`` and ``campaign run`` share: export
-    the sanitizer, trace-cache, checkpoint and observer flags.  Returns
-    True when any observer was enabled."""
-    if args.sanitize:
-        # Through the environment, so pool workers (and every System
-        # built downstream) inherit it.
-        os.environ["REPRO_SANITIZE"] = "1"
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
-    return _enable_obs(args)
+def _run_config(args):
+    """The :class:`~repro.harness.config.RunConfig` of ``run`` and
+    ``campaign run``: the environment's deployment settings with the
+    command's flags applied.  Raises ValueError for a bad flag value."""
+    from dataclasses import replace
 
+    from .checks.chaos import parse_chaos
+    from .harness.config import RunConfig, cache_root
+    from .harness.preempt import CheckpointConfig
+    from .obs import ObsConfig
 
-def _enable_obs(args) -> bool:
-    """Propagate observability flags through the environment (same
-    mechanism as ``--sanitize``) so pool workers inherit them.  Returns
-    True when any observer was enabled."""
-    enabled = False
-    if args.metrics_interval:
-        os.environ["REPRO_METRICS_INTERVAL"] = str(args.metrics_interval)
-        enabled = True
-    if args.trace:
-        os.environ["REPRO_TRACE"] = "1"
-        os.environ["REPRO_TRACE_SAMPLE"] = str(args.trace_sample)
-        enabled = True
-    if enabled:
-        os.environ["REPRO_OBS_DIR"] = args.obs_dir
-    return enabled
-
-
-def _enable_trace_cache(args) -> None:
-    """Propagate ``--trace-cache`` through the environment (same
-    mechanism as ``--sanitize``) so pool workers share the cache."""
-    if getattr(args, "trace_cache", None) is not None:
-        os.environ["REPRO_TRACE_CACHE"] = args.trace_cache
-
-
-def _enable_checkpoint(args) -> None:
-    """Propagate ``--checkpoint`` through the environment (same
-    mechanism as ``--sanitize``) so pool workers save/restore too.
-
-    ``--checkpoint`` with no value enables on-demand (preempt-driven)
-    save-states; a value adds an every-N-events cadence.  The state
-    directory defaults to ``<obs-dir>/ckpt`` unless ``REPRO_CKPT_DIR``
-    is already set.
-    """
-    events = getattr(args, "checkpoint", None)
-    secs = getattr(args, "checkpoint_secs", None)
-    if events is None and secs is None:
-        return
-    from .harness.preempt import (CKPT_DIR_ENV, CKPT_EVENTS_ENV,
-                                  CKPT_SECS_ENV)
-    if not os.environ.get(CKPT_DIR_ENV, "").strip():
-        os.environ[CKPT_DIR_ENV] = os.path.join(args.obs_dir, "ckpt")
-    if events:
-        os.environ[CKPT_EVENTS_ENV] = str(events)
-    if secs:
-        os.environ[CKPT_SECS_ENV] = str(secs)
+    config = RunConfig.from_env()
+    obs = None
+    if args.metrics_interval > 0 or args.trace:
+        obs = ObsConfig(metrics_interval=max(0, args.metrics_interval),
+                        trace=args.trace,
+                        trace_sample=max(1, args.trace_sample),
+                        out_dir=args.obs_dir)
+    checkpoint = None
+    if args.checkpoint is not None or args.checkpoint_secs is not None:
+        # --checkpoint with no value: save-states on preemption only;
+        # a value adds an every-N-events cadence.
+        events, secs = args.checkpoint, args.checkpoint_secs
+        checkpoint = CheckpointConfig(
+            dir=os.path.join(args.obs_dir, "ckpt"),
+            every_events=max(1, events) if events else None,
+            every_secs=secs if secs and secs > 0 else None)
+    trace_cache = config.trace_cache
+    if args.trace_cache is not None:
+        trace_cache = cache_root(args.trace_cache, "traces")
+    return replace(config, sanitize=args.sanitize, obs=obs,
+                   checkpoint=checkpoint,
+                   chaos=parse_chaos(args.chaos) if args.chaos else None,
+                   trace_cache=trace_cache)
 
 
 def _supervision_from_args(args, tag: str):
@@ -206,18 +184,11 @@ def _supervision_from_args(args, tag: str):
                                     SweepManifest, supervised_sweep)
     from .obs.incidents import IncidentLog
 
-    if getattr(args, "chaos", None):
-        from .checks.chaos import parse_chaos
-        parse_chaos(args.chaos)  # validate before exporting to workers
-        os.environ["REPRO_CHAOS"] = args.chaos
-    retry = RetryPolicy.from_env()
+    retry = RetryPolicy()
     if args.retries is not None:
         if args.retries < 1:
             raise ValueError("--retries must be >= 1")
-        retry = RetryPolicy(max_attempts=args.retries,
-                            backoff=retry.backoff,
-                            backoff_cap=retry.backoff_cap,
-                            jitter=retry.jitter)
+        retry = RetryPolicy(max_attempts=args.retries)
     if args.timeout is not None and args.timeout < 0:
         raise ValueError("--timeout must be >= 0 (0 disables)")
     manifest = None
@@ -270,8 +241,9 @@ def _run_supervised(args, tag: str, execute, render,
                     observe_cached: bool = False) -> int:
     """The one supervised path of ``run`` and ``campaign run``.
 
-    ``execute(force)`` makes the command's ``run_many`` calls under the
-    supervisor; ``render(value, sup)`` prints what a finished sweep
+    ``execute(config, force)`` makes the command's ``run_many`` calls
+    under the supervisor, with the :class:`RunConfig` built from the
+    flags; ``render(value, sup)`` prints what a finished sweep
     produced.  Observer artifacts only exist when the simulator actually
     runs: with ``observe_cached`` an observed sweep passes ``force=True``
     to re-simulate cached points, otherwise they are served without
@@ -283,17 +255,19 @@ def _run_supervised(args, tag: str, execute, render,
     from .obs.incidents import maybe_write
 
     name = args.command
-    obs_on = _enable_run_flags(args)
-    force = obs_on and observe_cached
-    if obs_on and not force and not getattr(args, "no_store", False):
-        print(f"[{name}] observability on: store-cached points are served "
-              "without artifacts; use an empty store (REPRO_RESULT_STORE) "
-              "to observe every point", file=sys.stderr)
     try:
+        config = _run_config(args)
+        force = config.obs is not None and observe_cached
+        if (config.obs is not None and not force
+                and not getattr(args, "no_store", False)):
+            print(f"[{name}] observability on: store-cached points are "
+                  "served without artifacts; use an empty store "
+                  "(REPRO_RESULT_STORE) to observe every point",
+                  file=sys.stderr)
         ctx, incidents = _supervision_from_args(args, tag)
         with ctx as sup:
             try:
-                value = execute(force)
+                value = execute(config, force)
             except SweepFailedError as exc:  # --fail-fast
                 return _finish_supervised(sup, incidents, exc.failures,
                                           args.obs_dir)
@@ -368,8 +342,9 @@ def _cmd_run(args) -> int:
 
     return _run_supervised(
         args, f"run-{args.workload}",
-        lambda force: run_many(specs, workers=args.workers, store=store,
-                               force=force),
+        lambda config, force: run_many(specs, workers=args.workers,
+                                       store=store, force=force,
+                                       config=config),
         render, observe_cached=True)
 
 
@@ -481,8 +456,9 @@ def _cmd_campaign(args) -> int:
 
     return _run_supervised(
         args, campaign.tag(),
-        lambda _force: run_many(specs, workers=args.workers,
-                                progress=not args.quiet),
+        lambda config, _force: run_many(specs, workers=args.workers,
+                                        progress=not args.quiet,
+                                        config=config),
         render)
 
 
@@ -522,13 +498,8 @@ def _cmd_perf(args) -> int:
             print(f"[perf] wrote {path}", file=sys.stderr)
         return 0
     if args.gate:
-        from .harness.perfbench import (DEFAULT_GATE_THRESHOLD, GATE_ENV,
-                                        GATE_THRESHOLD_ENV,
+        from .harness.perfbench import (DEFAULT_GATE_THRESHOLD,
                                         gate_sweep_regression)
-        if os.environ.get(GATE_ENV, "").strip().lower() in ("off", "0"):
-            print(f"[perf] gate skipped ({GATE_ENV}={os.environ[GATE_ENV]})",
-                  file=sys.stderr)
-            return 0
         base_path, fresh_path = args.gate
         try:
             with open(base_path) as handle:
@@ -540,8 +511,7 @@ def _cmd_perf(args) -> int:
             return 2
         threshold = args.gate_threshold
         if threshold is None:
-            threshold = float(os.environ.get(GATE_THRESHOLD_ENV,
-                                             DEFAULT_GATE_THRESHOLD))
+            threshold = DEFAULT_GATE_THRESHOLD
         try:
             status, message = gate_sweep_regression(base, fresh,
                                                     threshold=threshold)
@@ -787,28 +757,27 @@ def _add_supervise_args(parser: argparse.ArgumentParser,
                              "failure table, exit 3)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="attempts per point for transient failures "
-                             "(default $REPRO_RETRIES or 3)")
+                             "(default 3)")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-point watchdog timeout in seconds "
-                             "(0 disables; default $REPRO_TIMEOUT or "
-                             "scaled to the point's size)")
+                             "(0 disables; default scaled to the point's "
+                             "size)")
     parser.add_argument("--chaos", default=None,
                         metavar="PROFILE:SEED[:NUM/DEN]",
                         help="inject deterministic faults (testing): "
                              "profiles raise/flaky/hang/kill/corrupt/"
                              "preempt/ckpt-corrupt/all, e.g. 'all:7' or "
-                             "'flaky:3:1/2'; equivalent to REPRO_CHAOS")
+                             "'flaky:3:1/2'")
     parser.add_argument("--checkpoint", nargs="?", const=0, type=int,
                         default=None, metavar="EVENTS",
                         help="write mid-run save-states so preempted "
                              "points resume instead of restarting; an "
                              "EVENTS value adds a periodic cadence "
-                             "(states land in <obs-dir>/ckpt; equivalent "
-                             "to REPRO_CKPT_DIR/REPRO_CKPT_EVENTS)")
+                             "(states land in <obs-dir>/ckpt)")
     parser.add_argument("--checkpoint-secs", type=float, default=None,
                         metavar="S",
                         help="also checkpoint every S wall-clock seconds "
-                             "(implies --checkpoint; REPRO_CKPT_SECS)")
+                             "(implies --checkpoint)")
     if with_manifest:
         parser.add_argument("--manifest", nargs="?",
                             const="sweep.manifest.json",
@@ -860,18 +829,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit specs + full SimResult dicts as JSON")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default $REPRO_WORKERS or 1; "
-                          "0 = one per CPU)")
+                     help="worker processes (default 1; 0 = one per CPU)")
     run.add_argument("--no-store", action="store_true",
                      help="skip the persistent result store")
     run.add_argument("--sanitize", action="store_true",
                      help="enable the runtime invariant sanitizer "
-                          "(REPRO_SANITIZE=1; store-cached points are not "
-                          "re-simulated — add --no-store to force checking)")
+                          "(store-cached points are not re-simulated — "
+                          "add --no-store to force checking)")
     run.add_argument("--trace-cache", default=None, metavar="DIR",
                      help="content-addressed trace cache directory, or "
-                          "'off' (default ~/.cache/repro-care/traces; "
-                          "equivalent to REPRO_TRACE_CACHE)")
+                          "'off' (default $REPRO_TRACE_CACHE or "
+                          "~/.cache/repro-care/traces)")
     _add_supervise_args(run)
     _add_obs_args(run)
 
@@ -898,11 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail (exit 1) when FRESH's sweep points/s "
                            "regresses more than the gate threshold vs "
                            "BASE's matching grid; skip cleanly when the "
-                           "grids are not comparable or REPRO_PERF_GATE=off")
+                           "grids are not comparable")
     perf.add_argument("--gate-threshold", type=float, default=None,
                       metavar="FRAC",
                       help="tolerated fractional drop for --gate (default "
-                           "$REPRO_PERF_GATE_THRESHOLD or 0.25)")
+                           "0.25)")
     perf.add_argument("--sweep", action="store_true",
                       help="run the sweep-throughput macro-benchmark "
                            "(warm pool + trace cache, cold and warm "
@@ -931,8 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "supervised sweep")
     _campaign_common(crun)
     crun.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default $REPRO_WORKERS or 1; "
-                           "0 = one per CPU)")
+                      help="worker processes (default 1; 0 = one per CPU)")
     crun.add_argument("--quiet", action="store_true",
                       help="suppress per-point progress lines")
     crun.add_argument("--sanitize", action="store_true",
@@ -940,7 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "every freshly simulated point")
     crun.add_argument("--trace-cache", default=None, metavar="DIR",
                       help="content-addressed trace cache directory, or "
-                           "'off' (equivalent to REPRO_TRACE_CACHE)")
+                           "'off' (default $REPRO_TRACE_CACHE or "
+                           "~/.cache/repro-care/traces)")
     _add_supervise_args(crun, with_manifest=True)
     _add_obs_args(crun)
 

@@ -14,16 +14,16 @@ optimization work relies on from rotting silently:
   observes a running :class:`~repro.sim.system.System` every N events
   and cross-checks structural invariants (event-time monotonicity,
   tag-index coherence, MSHR leaks and lost waiters, PMC cycle
-  conservation, inclusion).  Enable with ``--sanitize`` or
-  ``REPRO_SANITIZE=1``; it observes but never perturbs simulation
-  state, so sanitized runs stay byte-identical.
+  conservation, inclusion).  Enable with ``--sanitize`` (or
+  ``System(..., sanitize=True)``); it observes but never perturbs
+  simulation state, so sanitized runs stay byte-identical.
 
 A third half-sibling aims the same fault-injection philosophy at the
 *harness* instead of the simulator:
 
 * :mod:`repro.checks.chaos` — deterministic, seeded fault injectors
   (worker raise/hang/kill, store corruption) driven by
-  ``REPRO_CHAOS=<profile>:<seed>``, which the supervised sweep runner
+  ``--chaos <profile>:<seed>``, which the supervised sweep runner
   (``repro.harness.supervise``) must absorb: retries converge, hung
   workers are killed, corrupt store entries are quarantined, and the
   resumed campaign reproduces the fault-free result set byte-for-byte.

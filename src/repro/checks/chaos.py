@@ -6,14 +6,15 @@ retry/timeout machinery, and store hardening added by the fault-tolerance
 work are only trustworthy if they are exercised against real faults.
 Chaos injects those faults deterministically: a seeded hash over
 ``(seed, fault, spec key)`` decides which sweep points are hit, so the
-same ``REPRO_CHAOS`` value reproduces the same incident pattern on any
+same ``--chaos`` value reproduces the same incident pattern on any
 machine, and tests can predict exactly which points fail.
 
-Enable with ``REPRO_CHAOS=<profile>:<seed>[:<num>/<den>]``::
+Enable with ``--chaos <profile>:<seed>[:<num>/<den>]`` on ``run`` or
+``campaign run`` (or ``RunConfig(chaos=parse_chaos(...))``)::
 
-    REPRO_CHAOS=flaky:7        # transient OSError on first attempt
-    REPRO_CHAOS=kill,hang:3    # workers exit(137) or hang (both transient)
-    REPRO_CHAOS=all:1:1/2      # every fault, hitting half the points
+    --chaos flaky:7        # transient OSError on first attempt
+    --chaos kill,hang:3    # workers exit(137) or hang (both transient)
+    --chaos all:1:1/2      # every fault, hitting half the points
 
 Faults (``all`` = every one of them):
 
@@ -32,13 +33,14 @@ Faults (``all`` = every one of them):
     OOM-killer stand-in; the supervisor must classify the crash as
     transient and retry.
 ``corrupt``
-    Result-store writes for selected points are truncated after the
-    atomic rename — ``fsck`` / hardened ``get`` must quarantine them.
+    Result-store and trace-cache writes for selected entries are
+    truncated after the atomic rename — ``fsck`` / hardened ``get`` must
+    quarantine them.
 ``preempt``
     A preempt request is latched before the first attempt — the
     checkpoint policy must save state and stop cleanly, and the retry
     must *resume* the save-state to a byte-identical result.  No-ops
-    when checkpointing (``REPRO_CKPT_DIR``) is disabled.
+    when checkpointing (``--checkpoint``) is disabled.
 ``ckpt-corrupt``
     Save-state writes for selected points are truncated after the
     atomic rename — restore must quarantine the torn file and
@@ -47,7 +49,8 @@ Faults (``all`` = every one of them):
 ``hang``/``kill`` are *disruptive*: they are only injected inside
 supervised worker processes, never in-process (a serial sweep injecting
 ``kill`` would take the whole CLI down, which is not the failure mode
-under test).  The environment is read per call, never at import time.
+under test).  The parsed :class:`ChaosConfig` travels in the point's
+:class:`~repro.harness.config.RunConfig`, like every other run setting.
 """
 
 from __future__ import annotations
@@ -56,9 +59,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-ENV_VAR = "REPRO_CHAOS"
+from typing import Tuple
 
 #: individual fault names (profile ``all`` expands to this tuple)
 FAULTS: Tuple[str, ...] = ("raise", "flaky", "hang", "kill", "corrupt",
@@ -85,7 +86,7 @@ class ChaosError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Parsed ``REPRO_CHAOS`` value: which faults, which seed, what rate."""
+    """Parsed ``--chaos`` value: which faults, which seed, what rate."""
 
     faults: Tuple[str, ...]
     seed: int = 0
@@ -110,10 +111,10 @@ def parse_chaos(raw: str) -> ChaosConfig:
     """Parse ``<profile>:<seed>[:<num>/<den>]`` into a :class:`ChaosConfig`."""
     parts = raw.strip().split(":")
     if not parts or not parts[0]:
-        raise ValueError(f"empty {ENV_VAR} profile in {raw!r}")
+        raise ValueError(f"empty chaos profile in {raw!r}")
     if len(parts) > 3:
         raise ValueError(
-            f"bad {ENV_VAR} value {raw!r}; "
+            f"bad chaos value {raw!r}; "
             "expected <profile>:<seed>[:<num>/<den>]")
     names = tuple(p.strip() for p in parts[0].split(",") if p.strip())
     if names == ("all",):
@@ -128,21 +129,6 @@ def parse_chaos(raw: str) -> ChaosConfig:
             raise ValueError(f"bad chaos rate {parts[2]!r}; expected num/den")
         num, den = int(frac[0]), int(frac[1])
     return ChaosConfig(faults=names, seed=seed, rate_num=num, rate_den=den)
-
-
-def chaos_from_env(
-        env: Optional[Dict[str, str]] = None) -> Optional[ChaosConfig]:
-    """The active chaos config, or ``None`` when ``REPRO_CHAOS`` is unset.
-
-    Read per call (cheap: one dict lookup when unset) so tests can flip
-    the variable without cache invalidation; worker processes inherit it
-    through the environment like ``REPRO_SANITIZE``.
-    """
-    e: Dict[str, str] = dict(os.environ) if env is None else env
-    raw = e.get(ENV_VAR, "").strip()
-    if not raw or raw.lower() in ("0", "off", "none"):
-        return None
-    return parse_chaos(raw)
 
 
 def should_inject(cfg: ChaosConfig, fault: str, key: str,
@@ -168,7 +154,7 @@ def planned_faults(cfg: ChaosConfig, key: str) -> Tuple[str, ...]:
 
 
 def inject_execute(cfg: ChaosConfig, key: str, attempt: int,
-                   disruptive_ok: bool) -> None:
+                   disruptive_ok: bool, checkpointing: bool = False) -> None:
     """Fire any execute-stage fault selected for ``(key, attempt)``.
 
     Called by the supervised worker (``disruptive_ok=True``) and by the
@@ -176,16 +162,18 @@ def inject_execute(cfg: ChaosConfig, key: str, attempt: int,
     main process down, so serial sweeps only see exception faults).
     Order is fixed (kill > hang > preempt > flaky > raise) so a point
     selected for several faults behaves identically everywhere.
-    ``preempt`` only latches a request; the checkpoint policy consumes
-    it at the next watcher boundary inside the simulation.
+    ``preempt`` only latches a request, and only when the point runs
+    ``checkpointing``: the checkpoint policy consumes it at the next
+    watcher boundary inside the simulation, and without a policy the
+    latch would poison a later task instead.
     """
     if disruptive_ok and should_inject(cfg, "kill", key, attempt):
         os._exit(137)
     if disruptive_ok and should_inject(cfg, "hang", key, attempt):
         time.sleep(HANG_SECONDS)
-    if should_inject(cfg, "preempt", key, attempt):
-        from ..harness.preempt import chaos_preempt
-        chaos_preempt()
+    if checkpointing and should_inject(cfg, "preempt", key, attempt):
+        from ..harness.preempt import request_preempt
+        request_preempt()
     if should_inject(cfg, "flaky", key, attempt):
         raise OSError(f"chaos: injected transient fault for {key[:12]}")
     if should_inject(cfg, "raise", key, attempt):

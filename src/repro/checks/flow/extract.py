@@ -95,7 +95,6 @@ class FunctionFacts:
     refs: List[RefSite] = field(default_factory=list)
     sources: List[Source] = field(default_factory=list)
     global_writes: List[GlobalWrite] = field(default_factory=list)
-    names_loaded: Set[str] = field(default_factory=set)
     var_types: Dict[str, Desc] = field(default_factory=dict)
     var_funcs: Dict[str, Desc] = field(default_factory=dict)
 
@@ -127,7 +126,6 @@ class ModuleFacts:
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
     global_vars: Dict[str, int] = field(default_factory=dict)
-    str_tables: Dict[str, List[str]] = field(default_factory=dict)
     module_level: Optional[FunctionFacts] = None   # import-time pseudo-fn
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     suppression_lines: Dict[int, Set[str]] = field(default_factory=dict)
@@ -199,24 +197,6 @@ def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _str_table_values(node: ast.AST) -> Optional[List[str]]:
-    """Values of a dict literal mapping str -> dotted/colon qualname."""
-    if not isinstance(node, ast.Dict) or not node.values:
-        return None
-    out: List[str] = []
-    for value in node.values:
-        if not (isinstance(value, ast.Constant)
-                and isinstance(value.value, str)):
-            return None
-        text = value.value
-        body = text.replace(":", ".", 1)
-        if ":" in body or not body or not all(
-                part.isidentifier() for part in body.split(".")):
-            return None
-        out.append(text)
-    return out
 
 
 class _ImportScan:
@@ -354,7 +334,6 @@ class _BodyWalker:
     def _visit_name(self, node: ast.Name) -> None:
         if not isinstance(node.ctx, ast.Load):
             return
-        self.facts.names_loaded.add(node.id)
         if (node.id in self.facts.var_funcs
                 or ((node.id in self.module_funcs or node.id in self.imported)
                     and node.id not in self.locals)):
@@ -364,10 +343,6 @@ class _BodyWalker:
         desc = self._site_desc(node)
         if desc[0] != "unknown":
             self._add_ref(desc, node.lineno)
-        # still record bare-name loads beneath the chain (str tables)
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                self.facts.names_loaded.add(child.id)
 
     def _site_desc(self, node: ast.AST) -> Desc:
         desc = _var_descriptor(node)
@@ -391,10 +366,6 @@ class _BodyWalker:
             CallSite(desc, node.lineno, scheduled=self.scheduled_depth > 0,
                      nested=self.nested_depth > 0))
         self._detect_call_source(node, desc)
-        # record names under the callee chain (registry table detection)
-        for child in ast.walk(node.func):
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                self.facts.names_loaded.add(child.id)
         scheduler = (len(desc) >= 2 and desc[0] in
                      ("self", "self_attr", "var_attr", "name_attr")
                      and desc[-1] in _SCHEDULER_METHODS)
@@ -726,12 +697,6 @@ def extract_source(source: str, module: str,
                 for target in targets:
                     if isinstance(target, ast.Name):
                         facts.global_vars[target.id] = stmt.lineno
-                value = stmt.value
-                if (value is not None and len(targets) == 1
-                        and isinstance(targets[0], ast.Name)):
-                    table = _str_table_values(value)
-                    if table is not None:
-                        facts.str_tables[targets[0].id] = table
             walker._visit(stmt)
     facts.module_level = mod_fn
     return facts

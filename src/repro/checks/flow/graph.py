@@ -12,9 +12,8 @@ resolves their descriptors into edges between function qualnames:
   assignments ``self.x = Foo(...)``, parameter/attribute annotations,
   ``v = Foo(...)`` locals, and ``v = Cls.from_dict(...)`` classmethod
   constructors),
-* registry indirection: string-table registries (dict literals whose
-  values are ``module:Class`` qualnames, discovered structurally) and
-  decorator registries (via the ``REGISTRY_RESOLVERS`` manifest),
+* registry indirection: decorator registries (via the
+  ``REGISTRY_RESOLVERS`` manifest),
 * a capped *name fallback* for attribute calls whose receiver type is
   unknown (``obj.on_hit(...)`` links to every project method named
   ``on_hit`` unless the name is a generic container method).
@@ -458,29 +457,9 @@ def build_graph(modules: Sequence[ModuleFacts],
                     kind = "sched" if site.scheduled else "ref"
                     graph.add_edge(fn.qualname, dst, kind, site.line,
                                    fallback=fb, nested=site.nested)
-            # string-table registries: loading the table links the
-            # loader to everything the table can name
-            for table, values in mod.str_tables.items():
-                if table not in fn.names_loaded:
-                    continue
-                for value in values:
-                    _link_table_entry(graph, index, fn, value)
 
     _link_decorator_registries(graph, index, registry_resolvers or {})
     return graph, index
-
-
-def _link_table_entry(graph: CallGraph, index: ProjectIndex,
-                      fn: FunctionFacts, value: str) -> None:
-    qualname = value.replace(":", ".", 1)
-    target = index._chase_qualname(qualname)
-    if target is None:
-        return
-    if target in index.classes:
-        for ctor in index.constructor_targets(index.classes[target]):
-            graph.add_edge(fn.qualname, ctor, "registry", fn.line)
-    elif target in index.functions:
-        graph.add_edge(fn.qualname, target, "registry", fn.line)
 
 
 def _link_decorator_registries(graph: CallGraph, index: ProjectIndex,

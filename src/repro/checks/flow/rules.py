@@ -19,9 +19,10 @@ execute (``SS6xx``).
     Warm workers outlive env changes and share import-time module
     state across tasks, so worker-reachable code must not mutate
     module-level state (``SS601``), must read the environment only
-    through the reviewed lazy accessors that the per-task env snapshot
-    re-resolves (``SS602``), and modules must not capture derived
-    env/clock state at import time (``SS603``).
+    through the reviewed accessor of the run-configuration module
+    (``SS602``; workers get their settings in the task message), and
+    modules must not capture derived env/clock state at import time
+    (``SS603``).
 
 Suppressions use the same ``# simsan: skip=<ID>`` comment syntax as the
 per-file linter, applied at the finding's line.
@@ -99,12 +100,12 @@ _FLOW_RULES = [
         id="SS602",
         name="worker-raw-env-read",
         summary="worker-reachable code reads os.environ outside the "
-                "reviewed env-snapshot accessors",
-        hint="persistent workers only see the parent's environment "
-             "through the per-task REPRO_* snapshot "
-             "(repro.harness.turbo); read env via a WORKER_ENV_API "
-             "accessor that re-resolves per task, or add this function "
-             "to WORKER_ENV_API after review",
+                "reviewed env accessor",
+        hint="persistent workers get every run setting in the task "
+             "message's RunConfig (repro.harness.config); carry the "
+             "setting there, read the environment only through "
+             "repro.harness.config.read_env, or add this function to "
+             "WORKER_ENV_API after review",
         scope="all",
     ),
     Rule(
@@ -114,8 +115,7 @@ _FLOW_RULES = [
                 "import time",
         hint="the called helper (transitively) reads the environment or "
              "a clock, so its result is frozen when a persistent worker "
-             "forks and ignores the per-task REPRO_* snapshot; call it "
-             "lazily inside a function instead",
+             "forks; call it lazily inside a function instead",
         scope="all",
     ),
 ]
@@ -144,31 +144,11 @@ HOT_DOMAIN = ("repro.sim", "repro.core")
 #: nondeterminism source from here breaks the bit-identity contract.
 TAINT_SINK_DOMAIN = ("repro.sim", "repro.core")
 
-#: Reviewed functions taint does not flow through.  Each entry is a
-#: sanctioned boundary: either the seeded-rng / env-snapshot plumbing
-#: itself, or an accessor whose result provably cannot change a
-#: SimResult (the trace cache is content-addressed; observers and
-#: save-states are golden-enforced byte-identical).
-TAINT_SANITIZERS: FrozenSet[str] = frozenset({
-    # the PR 7 env-snapshot API is the sanctioned env boundary
-    "repro.harness.turbo.worker_env_snapshot",
-    "repro.harness.turbo._apply_env",
-    # opt-in observers: attach-time config, observer contract keeps
-    # observed runs byte-identical (golden suite re-checked observed)
-    "repro.checks.sanitize.sanitizer.sanitize_enabled",
-    "repro.checks.sanitize.sanitizer.sanitize_interval",
-    "repro.obs.schema.obs_from_env",
-    # deterministic chaos injection (seeded, test-only)
-    "repro.checks.chaos.chaos_from_env",
-    # content-addressed trace cache: served bytes equal generated bytes
-    "repro.workloads.tracecache.default_trace_cache",
-    # checkpoint/preempt plumbing: restore-then-run is byte-identical to
-    # an uninterrupted run (golden-enforced), so where a save-state lands
-    # or whether one exists cannot change a SimResult
-    "repro.harness.preempt.checkpoint_from_env",
-    "repro.harness.preempt.guards_from_env",
-    "repro.harness.preempt.preempt_grace",
-})
+#: Reviewed functions taint does not flow through: each entry must be a
+#: sanctioned boundary whose result provably cannot change a SimResult.
+#: Empty: the simulator takes every run setting as an argument, so no
+#: environment read can reach it.
+TAINT_SANITIZERS: FrozenSet[str] = frozenset()
 
 #: Worker entry points: everything these reach runs inside a pool
 #: worker process (SS601/SS602/SS603 apply to that closure).
@@ -177,32 +157,16 @@ WORKER_ROOTS: FrozenSet[str] = frozenset({
     "repro.harness.turbo._execute_task",
 })
 
-#: Reviewed lazy env accessors that worker-reachable code may call:
-#: each one re-reads ``os.environ`` at call time, *after* the per-task
-#: snapshot (:func:`repro.harness.turbo._apply_env`) has been applied,
-#: so persistent-pool workers track the parent's environment exactly.
+#: Reviewed env accessors that worker-reachable code may call.  Only
+#: the run-configuration module reads the environment; workers get every
+#: run setting in the task message's
+#: :class:`~repro.harness.config.RunConfig`.
 WORKER_ENV_API: FrozenSet[str] = frozenset({
-    "repro.harness.turbo.worker_env_snapshot",
-    "repro.harness.turbo._apply_env",
-    "repro.harness.supervise.RetryPolicy.from_env",
-    "repro.harness.supervise.compute_timeout",
-    "repro.checks.chaos.chaos_from_env",
-    "repro.checks.sanitize.sanitizer.sanitize_enabled",
-    "repro.checks.sanitize.sanitizer.sanitize_interval",
-    "repro.obs.schema.obs_from_env",
-    "repro.workloads.tracecache.default_trace_cache",
-    "repro.harness.store.default_store",
-    # checkpoint/preempt config re-resolves per task from the shipped
-    # REPRO_CKPT_* / guard vars (repro.harness.preempt)
-    "repro.harness.preempt.checkpoint_from_env",
-    "repro.harness.preempt.guards_from_env",
-    "repro.harness.preempt.preempt_grace",
+    "repro.harness.config.read_env",
 })
 
 #: Decorator-registry indirection: resolver function -> the decorator
 #: whose decorated classes/functions it can instantiate by name.
-#: (String-table registries — dict literals of ``"module:Class"``
-#: values — are discovered structurally and need no manifest.)
 REGISTRY_RESOLVERS: Dict[str, str] = {
     "repro.policies.registry.make_policy": "repro.policies.registry.register",
 }

@@ -81,9 +81,9 @@ _RULES = [
         name="import-time-env-read",
         summary="os.environ read at import time",
         hint="read the environment lazily inside a function (see "
-             "harness.store.default_store); import-time reads freeze config "
-             "before callers can set it, and a pool worker would never "
-             "see the per-task REPRO_* snapshot",
+             "harness.config.read_env, the one reader); import-time reads "
+             "freeze config before callers can set it, in every pool "
+             "worker forked from the process",
         scope="all",
     ),
     # ------------------------------------------------------------------

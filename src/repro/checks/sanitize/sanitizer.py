@@ -67,27 +67,6 @@ class SanitizerError(AssertionError):
         super().__init__(f"[{rule}] {message}")
 
 
-def sanitize_enabled(env: Optional[dict] = None) -> bool:
-    """Lazy read of ``REPRO_SANITIZE`` (never at import time)."""
-    import os
-    value = (os.environ if env is None else env).get("REPRO_SANITIZE", "")
-    return str(value).strip().lower() not in ("", "0", "off", "false", "no")
-
-
-def sanitize_interval(env: Optional[dict] = None) -> int:
-    """``REPRO_SANITIZE_INTERVAL`` override, default ``DEFAULT_INTERVAL``."""
-    import os
-    raw = (os.environ if env is None else env).get(
-        "REPRO_SANITIZE_INTERVAL", "").strip()
-    if not raw:
-        return DEFAULT_INTERVAL
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return value if value >= 1 else DEFAULT_INTERVAL
-
-
 class Sanitizer:
     """Periodic invariant checker over one :class:`System`'s components."""
 
@@ -100,7 +79,7 @@ class Sanitizer:
         self.llc = system.llc
         self.caches: List[Any] = [system.llc] + list(system.l1s) + list(system.l2s)
         self.monitor = system.monitor
-        self.interval = sanitize_interval() if interval is None else interval
+        self.interval = DEFAULT_INTERVAL if interval is None else interval
         self.mshr_age_limit = mshr_age_limit
         self.checks_run = 0
         self._last_now = system.engine.now

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..sim.system import System
+from .config import RunConfig
 from .spec import ExperimentSpec
 
 #: v2: payloads recorded the engine backend.  With one engine left the
@@ -155,14 +156,16 @@ def sweep_grid(records: int = SWEEP_GRID_RECORDS) -> List[ExperimentSpec]:
             for w in SWEEP_GRID_WORKLOADS for p in SWEEP_GRID_POLICIES]
 
 
-def _run_sweep_phase(specs: Sequence[ExperimentSpec], workers: int) -> Dict:
+def _run_sweep_phase(specs: Sequence[ExperimentSpec], workers: int,
+                     config: RunConfig) -> Dict:
     """One full pass over the grid, store-less and memo-cleared, so every
     point actually simulates; wall clock covers the whole ``run_many``."""
     from .runner import SweepStats, clear_memo, run_many
     clear_memo()
     stats = SweepStats()
     start = time.perf_counter()
-    run_many(specs, workers=workers, store=None, stats_out=stats)
+    run_many(specs, workers=workers, store=None, stats_out=stats,
+             config=config)
     wall = time.perf_counter() - start
     return {
         "wall_s": round(wall, 6),
@@ -182,24 +185,19 @@ def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
     (pool fork + cache misses included); later rounds are *warm*, and
     the best warm round is the number the CI gate compares.
     """
-    import os
     import tempfile
 
-    from ..workloads.tracecache import ENV_VAR as TRACE_CACHE_ENV
-    from ..workloads.tracecache import reset_default_trace_cache
     from .turbo import shutdown_shared_pool
 
     if repeat < 2:
         raise ValueError("repeat must be >= 2 (round 0 is the cold round)")
     specs = sweep_grid(records)
-    saved = os.environ.get(TRACE_CACHE_ENV)
     phases: List[Dict] = []
-    reset_default_trace_cache()
     with tempfile.TemporaryDirectory(prefix="repro-sweepbench-") as tmp:
-        os.environ[TRACE_CACHE_ENV] = tmp
+        config = replace(RunConfig.from_env(), trace_cache=tmp)
         try:
             for i in range(repeat):
-                phase = _run_sweep_phase(specs, workers)
+                phase = _run_sweep_phase(specs, workers, config)
                 phases.append(phase)
                 if progress:
                     label = "cold" if i == 0 else "warm"
@@ -207,11 +205,6 @@ def run_sweep_benchmark(repeat: int = 3, records: int = SWEEP_GRID_RECORDS,
                           f"{phase['points_per_s']:.2f} points/s",
                           file=sys.stderr)
         finally:
-            if saved is None:
-                os.environ.pop(TRACE_CACHE_ENV, None)
-            else:
-                os.environ[TRACE_CACHE_ENV] = saved
-            reset_default_trace_cache()
             shutdown_shared_pool()
     cold, warm = phases[0], phases[1:]
     warm_best = max(p["points_per_s"] for p in warm)
@@ -322,11 +315,9 @@ def diff_payloads(base: Dict, fresh: Dict) -> str:
 # ----------------------------------------------------------------------
 # Sweep-throughput regression gate (CI)
 # ----------------------------------------------------------------------
-#: set to ``off``/``0`` to skip the gate (documented CI override; the
-#: ``perf-regression-ok`` PR label drives the same skip in ci.yml)
-GATE_ENV = "REPRO_PERF_GATE"
-GATE_THRESHOLD_ENV = "REPRO_PERF_GATE_THRESHOLD"
 #: maximum tolerated drop in warm sweep throughput vs. the baseline
+#: (``--gate-threshold``; CI skips the gate on the ``perf-regression-ok``
+#: PR label)
 DEFAULT_GATE_THRESHOLD = 0.25
 
 
@@ -378,8 +369,8 @@ def gate_sweep_regression(base: Dict, fresh: Dict,
            f"{base_pts:.2f} ({delta * 100:+.1f}%)")
     if delta < -threshold:
         return "fail", (f"{msg} — beyond the {threshold:.0%} regression "
-                        f"gate (override: {GATE_ENV}=off or the "
-                        "'perf-regression-ok' PR label)")
+                        "gate (override: the 'perf-regression-ok' PR "
+                        "label)")
     return "ok", msg
 
 

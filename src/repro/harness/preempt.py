@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.savestate` defines the pure bytes-level save-state
 format; this module owns everything around it that touches the world —
-files, environment, wall clocks, signals, and processes:
+files, wall clocks, signals, and processes:
 
 * :class:`CheckpointPolicy` — an engine watcher that writes save-states
   on an event and/or wall-clock cadence and turns a latched preempt
@@ -27,21 +27,14 @@ files, environment, wall clocks, signals, and processes:
   preempted report *or* a normal result racing the signal) before the
   caller escalates to SIGKILL.
 * :class:`ResourceGuards` — optional RSS budget (``/proc/<pid>/status``)
-  and disk-free floor (``statvfs``) checks the pools run beside the
+  and disk-free floor (``statvfs``) checks the pool runs beside the
   watchdog, so memory leaks and full disks preempt work instead of
   losing it to the OOM killer.
 
-Environment (all read lazily, per call):
-
-``REPRO_CKPT_DIR``
-    Save-state directory; setting it is what enables checkpointing.
-``REPRO_CKPT_EVENTS`` / ``REPRO_CKPT_SECS``
-    Periodic cadence (simulated events / wall seconds).  Unset: states
-    are written only on preemption, at the default tick granularity.
-``REPRO_PREEMPT_GRACE``
-    Parent-side seconds to wait for a preempted worker's payload.
-``REPRO_RSS_BUDGET_MB`` / ``REPRO_DISK_FLOOR_MB``
-    Resource guard thresholds (disabled when unset).
+Every setting arrives in the point's
+:class:`~repro.harness.config.RunConfig`: :class:`CheckpointConfig`
+from ``--checkpoint``/``--checkpoint-secs`` and :class:`ResourceGuards`
+from ``REPRO_RSS_BUDGET_MB``/``REPRO_DISK_FLOOR_MB``.
 """
 
 from __future__ import annotations
@@ -57,13 +50,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 log = logging.getLogger(__name__)
 
-CKPT_DIR_ENV = "REPRO_CKPT_DIR"
-CKPT_EVENTS_ENV = "REPRO_CKPT_EVENTS"
-CKPT_SECS_ENV = "REPRO_CKPT_SECS"
-GRACE_ENV = "REPRO_PREEMPT_GRACE"
-RSS_BUDGET_ENV = "REPRO_RSS_BUDGET_MB"
-DISK_FLOOR_ENV = "REPRO_DISK_FLOOR_MB"
-
 #: synthetic error name a preempted worker reports (transient: the
 #: supervisor requeues the point with its save-state attached)
 PREEMPT_ERROR = "WorkerPreempted"
@@ -73,6 +59,7 @@ PREEMPT_ERROR = "WorkerPreempted"
 #: into a save within a fraction of a second, rare enough to be free
 DEFAULT_TICK_EVENTS = 20_000
 
+#: parent-side seconds to wait for a preempted worker's final payload
 DEFAULT_GRACE_SECS = 8.0
 
 
@@ -139,75 +126,17 @@ def restore_preempt_handler(previous: Any) -> None:
         pass
 
 
-def chaos_preempt(env: Optional[Dict[str, str]] = None) -> bool:
-    """Latch a preempt request for the chaos ``preempt`` fault.
-
-    No-ops (returns False) when checkpointing is disabled: without a
-    policy nothing would consume the latch, and the fault is meant to
-    exercise the save/resume path, not to poison later tasks.
-    """
-    if checkpoint_from_env(env) is None:
-        return False
-    request_preempt()
-    return True
-
-
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CheckpointConfig:
-    """Parsed ``REPRO_CKPT_*`` settings."""
+    """Where save-states go and how often they are written: with no
+    cadence, states are written only on preemption."""
 
     dir: str
     every_events: Optional[int] = None
     every_secs: Optional[float] = None
-
-
-def checkpoint_from_env(
-        env: Optional[Dict[str, str]] = None) -> Optional[CheckpointConfig]:
-    """The active checkpoint config, or ``None`` when disabled.
-
-    ``REPRO_CKPT_DIR`` being set (non-empty) is the enable switch; the
-    cadence variables refine it.  Read per call, like the other worker
-    env accessors, so pool workers pick it up from shipped snapshots.
-    """
-    e: Dict[str, str] = dict(os.environ) if env is None else env
-    root = e.get(CKPT_DIR_ENV, "").strip()
-    if not root:
-        return None
-    every_events = None
-    raw = e.get(CKPT_EVENTS_ENV, "").strip()
-    if raw:
-        try:
-            every_events = max(1, int(raw))
-        except ValueError:
-            log.warning("ignoring non-integer %s=%r", CKPT_EVENTS_ENV, raw)
-    every_secs = None
-    raw = e.get(CKPT_SECS_ENV, "").strip()
-    if raw:
-        try:
-            every_secs = float(raw)
-            if every_secs <= 0:
-                every_secs = None
-        except ValueError:
-            log.warning("ignoring non-numeric %s=%r", CKPT_SECS_ENV, raw)
-    return CheckpointConfig(dir=root, every_events=every_events,
-                            every_secs=every_secs)
-
-
-def preempt_grace(env: Optional[Dict[str, str]] = None) -> float:
-    """Parent-side wait for a preempted worker's payload (seconds)."""
-    e: Dict[str, str] = dict(os.environ) if env is None else env
-    raw = e.get(GRACE_ENV, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            log.warning("ignoring non-numeric %s=%r", GRACE_ENV, raw)
-    return DEFAULT_GRACE_SECS
 
 
 def state_path(root: Union[str, Path], key: str) -> Path:
@@ -226,20 +155,26 @@ class CheckpointPolicy:
     what makes the saved state resume phase-exact.  The policy pickles
     inside the save-state (it is registered in ``engine._watchers`` and
     on ``System.checkpoint``); only the process-local wall-clock
-    deadline is stripped and re-armed on resume.
+    deadline and the task's ``chaos`` profile are stripped; the resumed
+    task sets its own.
     """
 
     __slots__ = ("path", "spec_key", "fingerprint", "every_events",
-                 "every_secs", "system", "saves", "_deadline", "_installed")
+                 "every_secs", "chaos", "system", "saves", "_deadline",
+                 "_installed")
 
     def __init__(self, path: Union[str, Path], spec_key: str,
                  fingerprint: str, every_events: Optional[int] = None,
-                 every_secs: Optional[float] = None) -> None:
+                 every_secs: Optional[float] = None,
+                 chaos: Optional[Any] = None) -> None:
         self.path = str(path)
         self.spec_key = spec_key
         self.fingerprint = fingerprint
         self.every_events = every_events
         self.every_secs = every_secs
+        #: the task's :class:`~repro.checks.chaos.ChaosConfig` (for the
+        #: ``ckpt-corrupt`` fault), or ``None``
+        self.chaos = chaos
         self.system: Optional[Any] = None
         self.saves = 0
         self._deadline: Optional[float] = None
@@ -247,10 +182,11 @@ class CheckpointPolicy:
 
     @classmethod
     def for_spec(cls, cfg: CheckpointConfig, spec_key: str,
-                 fingerprint: str) -> "CheckpointPolicy":
+                 fingerprint: str,
+                 chaos: Optional[Any] = None) -> "CheckpointPolicy":
         return cls(path=state_path(cfg.dir, spec_key), spec_key=spec_key,
                    fingerprint=fingerprint, every_events=cfg.every_events,
-                   every_secs=cfg.every_secs)
+                   every_secs=cfg.every_secs, chaos=chaos)
 
     @property
     def tick_interval(self) -> int:
@@ -293,6 +229,7 @@ class CheckpointPolicy:
         state = {slot: getattr(self, slot)
                  for slot in CheckpointPolicy.__slots__}
         state["_deadline"] = None     # wall clock is process-local
+        state["chaos"] = None         # and chaos belongs to one task
         return state
 
     def __setstate__(self, state) -> None:
@@ -331,19 +268,18 @@ def save_state(policy: CheckpointPolicy) -> Optional[str]:
         log.warning("save-state write failed for %s: %s", path, exc)
         return None
     policy.saves += 1
-    _maybe_chaos_corrupt(policy.spec_key, path)
+    _maybe_chaos_corrupt(policy.chaos, policy.spec_key, path)
     return str(path)
 
 
-def _maybe_chaos_corrupt(key: str, path: Path) -> bool:
+def _maybe_chaos_corrupt(cfg: Optional[Any], key: str, path: Path) -> bool:
     """Chaos ``ckpt-corrupt``: truncate the state we just wrote.
 
     Fires on every attempt for selected points (like the store's
     ``corrupt`` fault): resume must quarantine the torn file and
     cold-start, converging to correct results regardless.
     """
-    from ..checks.chaos import chaos_from_env, should_inject
-    cfg = chaos_from_env()
+    from ..checks.chaos import should_inject
     if cfg is None or not should_inject(cfg, "ckpt-corrupt", key):
         return False
     try:
@@ -413,9 +349,9 @@ def clear_state(path: Union[str, Path]) -> None:
 # ----------------------------------------------------------------------
 # Parent-side preemption
 # ----------------------------------------------------------------------
-def try_preempt(proc: Any, conn: Any,
-                grace: Optional[float] = None) -> Optional[Dict[str, Any]]:
-    """SIGTERM ``proc`` and wait up to ``grace`` seconds for a payload.
+def try_preempt(proc: Any, conn: Any) -> Optional[Dict[str, Any]]:
+    """SIGTERM ``proc`` and wait up to :data:`DEFAULT_GRACE_SECS` for a
+    payload.
 
     The payload may be the preempted report *or* a normal result that
     raced the signal — the caller routes whatever arrives through its
@@ -423,13 +359,11 @@ def try_preempt(proc: Any, conn: Any,
     died in time; the caller escalates (SIGKILL + its original
     classification).
     """
-    if grace is None:
-        grace = preempt_grace()
     try:
         proc.terminate()
     except (OSError, AttributeError):
         return None
-    deadline = time.monotonic() + grace
+    deadline = time.monotonic() + DEFAULT_GRACE_SECS
     while time.monotonic() < deadline:
         try:
             if conn.poll(0.05):
@@ -460,26 +394,6 @@ class ResourceGuards:
     def enabled(self) -> bool:
         return (self.rss_budget_mb is not None
                 or self.disk_floor_mb is not None)
-
-
-def guards_from_env(
-        env: Optional[Dict[str, str]] = None) -> ResourceGuards:
-    """Parse ``REPRO_RSS_BUDGET_MB`` / ``REPRO_DISK_FLOOR_MB``."""
-    e: Dict[str, str] = dict(os.environ) if env is None else env
-    values: Dict[str, Optional[float]] = {}
-    for field_name, var in (("rss_budget_mb", RSS_BUDGET_ENV),
-                            ("disk_floor_mb", DISK_FLOOR_ENV)):
-        value = None
-        raw = e.get(var, "").strip()
-        if raw:
-            try:
-                value = float(raw)
-                if value <= 0:
-                    value = None
-            except ValueError:
-                log.warning("ignoring non-numeric %s=%r", var, raw)
-        values[field_name] = value
-    return ResourceGuards(**values)
 
 
 def rss_mb(pid: int) -> Optional[float]:

@@ -13,8 +13,11 @@ Resolution order for one point is memo -> store -> simulate:
   ``workers > 1``.
 
 Workers for :func:`run_many` come from the ``workers=`` argument, else
-the ``REPRO_WORKERS`` environment variable, else 1 (serial).  ``0`` means
-"one per CPU".  If worker processes cannot be created (sandboxed
+1 (serial).  ``0`` means "one per CPU".  Every point runs under the
+call's :class:`~repro.harness.config.RunConfig` (``config=``, else
+:meth:`RunConfig.from_env() <repro.harness.config.RunConfig.from_env>`),
+which pool workers receive in each task message.  If worker processes
+cannot be created (sandboxed
 environments, missing semaphores, ...), the engine logs a warning and
 falls back to serial execution — results are identical either way,
 because workers return ``SimResult.to_dict()`` payloads whose round-trip
@@ -41,8 +44,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from ..checks.chaos import chaos_from_env, inject_execute
+from ..checks.chaos import corrupt_entry, inject_execute
 from ..sim.stats import SimResult
+from .config import RunConfig
 from .spec import ExperimentSpec
 from .store import ResultStore, default_store
 from .supervise import (
@@ -61,8 +65,8 @@ log = logging.getLogger(__name__)
 #: sentinel: "use the process-wide default store"
 USE_DEFAULT_STORE = object()
 
-#: in-process memo (aliased by ``experiment._result_cache`` for
-#: backwards compatibility with existing tests/tools)
+#: in-process memo: repeated calls in one session return the identical
+#: result object
 _MEMO: Dict[ExperimentSpec, SimResult] = {}
 
 ProgressFn = Callable[["SweepStats", Optional[ExperimentSpec], str], None]
@@ -139,21 +143,13 @@ def clear_memo() -> None:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """``workers`` arg > ``REPRO_WORKERS`` env > 1; ``0`` = one per CPU.
+    """``workers`` arg, default 1; ``0`` = one per CPU.
 
-    Negative values (arg or environment) are clamped to 1 with a
-    warning — they would otherwise blow up at pool construction time.
+    Negative values are clamped to 1 with a warning — they would
+    otherwise blow up at pool construction time.
     """
     if workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                log.warning("ignoring non-integer REPRO_WORKERS=%r", raw)
-                workers = 1
-        else:
-            workers = 1
+        workers = 1
     if workers < 0:
         log.warning("clamping workers=%d to 1 (use 0 for one per CPU)",
                     workers)
@@ -167,6 +163,16 @@ def _resolve_store(store) -> Optional[ResultStore]:
     if store is USE_DEFAULT_STORE:
         return default_store()
     return store
+
+
+def _put(store: ResultStore, spec: ExperimentSpec, result: SimResult,
+         config: RunConfig) -> None:
+    """Persist one result; chaos ``corrupt`` then tears selected entries
+    so the store's quarantine/fsck path meets real torn files."""
+    path = store.put(spec, result)
+    if config.chaos is not None and corrupt_entry(config.chaos, spec.key(),
+                                                  path):
+        log.debug("chaos: corrupted store entry %s", path.name)
 
 
 def _progress_printer(stats: SweepStats, spec: Optional[ExperimentSpec],
@@ -190,14 +196,18 @@ def _as_progress(progress: Union[None, bool, ProgressFn]) -> Optional[ProgressFn
 # Single-point execution
 # ----------------------------------------------------------------------
 def run(spec: ExperimentSpec, store=USE_DEFAULT_STORE,
-        force: bool = False, obs=None) -> SimResult:
+        force: bool = False,
+        config: Optional[RunConfig] = None) -> SimResult:
     """Result for one point: memo -> store -> simulate (and persist).
 
-    An enabled ``obs`` (:class:`~repro.obs.ObsConfig`) forces a fresh
-    simulation: trace and metrics artifacts only exist when the simulator
-    actually runs, so cache hits would silently produce nothing.
+    ``config`` defaults to :meth:`RunConfig.from_env`.  Enabled observers
+    (``config.obs``) force a fresh simulation: trace and metrics
+    artifacts only exist when the simulator actually runs, so cache hits
+    would silently produce nothing.
     """
-    if obs is not None and obs.enabled:
+    if config is None:
+        config = RunConfig.from_env()
+    if config.obs is not None and config.obs.enabled:
         force = True
     if not force and spec in _MEMO:
         session_stats.points += 1
@@ -211,12 +221,12 @@ def run(spec: ExperimentSpec, store=USE_DEFAULT_STORE,
             _MEMO[spec] = cached
             session_stats.store_hits += 1
             return cached
-    result = spec.execute(obs=obs)
+    result = spec.execute(config)
     session_stats.simulated += 1
     _MEMO[spec] = result
     if resolved is not None:
         try:
-            resolved.put(spec, result)
+            _put(resolved, spec, result, config)
         except OSError as exc:  # a full/readonly disk shouldn't kill a run
             log.warning("result store write failed: %s", exc)
     return result
@@ -233,7 +243,8 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
              keep_going: Optional[bool] = None,
              retry: Optional[RetryPolicy] = None,
              timeout: Optional[float] = None,
-             on_failure: Optional[str] = None) -> List[Optional[SimResult]]:
+             on_failure: Optional[str] = None,
+             config: Optional[RunConfig] = None) -> List[Optional[SimResult]]:
     """Results for ``specs`` (order preserved, duplicates deduplicated).
 
     Cache hits are served first; the remaining points are simulated on
@@ -246,18 +257,23 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
     Fault handling: ``keep_going`` (default True) finishes every healthy
     point before reporting failures; ``keep_going=False`` aborts on the
     first one.  ``retry``/``timeout`` override the supervisor's (or the
-    environment's) retry policy and watchdog deadline.  ``on_failure``
+    default) retry policy and watchdog deadline.  ``on_failure``
     selects what a failed point produces: ``"raise"`` (default) raises
     :class:`SweepFailedError` carrying the partial results once the
     sweep is over, ``"none"`` leaves ``None`` holes in the returned list
     (the default under an active supervisor, which collects the failures
     for the CLI's failure table).
+
+    ``config`` (default :meth:`RunConfig.from_env`, resolved once per
+    call) is the run configuration every simulated point executes under.
     """
+    if config is None:
+        config = RunConfig.from_env()
     sup = active_supervisor()
     if keep_going is None:
         keep_going = sup.keep_going if sup is not None else True
     if retry is None:
-        retry = sup.retry if sup is not None else RetryPolicy.from_env()
+        retry = sup.retry if sup is not None else RetryPolicy()
     if timeout is None and sup is not None:
         timeout = sup.timeout
     if on_failure is None:
@@ -317,7 +333,7 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         results[spec] = result
         if resolved is not None:
             try:
-                resolved.put(spec, result)
+                _put(resolved, spec, result, config)
             except OSError as exc:
                 # First failure is loud; the rest collapse into one
                 # summary line at the end of the sweep.
@@ -361,7 +377,8 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
             stats.crashes += 1
 
     def run_serial(todo: Sequence[ExperimentSpec]) -> None:
-        chaos = chaos_from_env()
+        chaos = config.chaos
+        checkpointing = config.checkpoint is not None
         for spec in todo:
             if sup is not None and sup.interrupted:
                 raise SweepInterrupted()
@@ -372,8 +389,9 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                 try:
                     if chaos is not None:
                         inject_execute(chaos, key, attempt,
-                                       disruptive_ok=False)
-                    result = spec.execute()
+                                       disruptive_ok=False,
+                                       checkpointing=checkpointing)
+                    result = spec.execute(config)
                 except Exception as exc:
                     duration = time.monotonic() - start
                     transient = retry.is_transient(exc)
@@ -406,7 +424,8 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                         pending, on_success=finish, on_failure=fail,
                         on_retry=note_retry, retry=retry,
                         timeout_for=lambda s: compute_timeout(s, timeout),
-                        supervisor=sup, keep_going=keep_going)
+                        config=config, supervisor=sup,
+                        keep_going=keep_going)
                     stats.pool_used = True
                 except PoolUnavailable as exc:
                     log.warning("worker pool unavailable (%s); "

@@ -17,10 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..sim.config import SystemConfig
 from ..sim.stats import SimResult
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 #: SystemConfig presets a spec may name (kept as names so specs stay
 #: flat/hashable; add an entry here to expose a new machine).
@@ -145,54 +148,62 @@ class ExperimentSpec:
     def build_config(self) -> SystemConfig:
         return CONFIG_PRESETS[self.preset](self.n_cores)
 
-    def build_traces(self) -> List[Sequence]:
-        """Per-core record sequences (2x n_records: warmup + measured)."""
+    def build_traces(self, config: Optional["RunConfig"] = None
+                     ) -> List[Sequence]:
+        """Per-core record sequences (2x n_records: warmup + measured),
+        read through the trace cache ``config`` names (without a
+        config, the one ``REPRO_TRACE_CACHE`` names)."""
         from ..workloads.mixes import mixed_workload_traces, multicopy_traces
+        from ..workloads.tracecache import USE_DEFAULT_CACHE, trace_cache_for
+        cache = (USE_DEFAULT_CACHE if config is None
+                 else trace_cache_for(config.trace_cache, config.chaos))
         if self.suite == "mix":
             traces = mixed_workload_traces(self.n_cores, self.mix_id,
-                                           2 * self.n_records, seed=self.seed)
+                                           2 * self.n_records, seed=self.seed,
+                                           cache=cache)
         else:
             traces = multicopy_traces(self.workload, self.n_cores,
                                       2 * self.n_records, seed=self.seed,
-                                      suite=self.suite)
+                                      suite=self.suite, cache=cache)
         return [t.records for t in traces]
 
-    def execute(self, obs: Optional[object] = None,
+    def execute(self, config: Optional["RunConfig"] = None,
                 notes: Optional[Dict] = None) -> SimResult:
         """Run the simulation for this point (no caching — see the runner).
 
-        ``obs`` is an optional :class:`~repro.obs.ObsConfig`; when omitted
-        it is resolved from ``REPRO_METRICS_INTERVAL`` / ``REPRO_TRACE`` /
-        ``REPRO_OBS_DIR`` so pool workers inherit observability settings
-        through the environment, mirroring ``REPRO_SANITIZE``.
+        ``config`` (:class:`~repro.harness.config.RunConfig`) carries
+        every run setting: sanitizer, observers, checkpointing, chaos and
+        the trace cache.  Library callers may omit it and get
+        :meth:`RunConfig.from_env() <repro.harness.config.RunConfig.from_env>`.
 
         A spec whose ``engine`` is not ``"classic"`` (a stored result of
         the removed batched backend) raises ``ValueError``: it can still
         be served from the store, but not re-simulated.
 
-        When checkpointing is enabled (``REPRO_CKPT_DIR`` — see
-        :mod:`repro.harness.preempt`) a valid save-state for this spec is
-        restored and *resumed* instead of cold-starting, and fresh runs
-        carry a :class:`~repro.harness.preempt.CheckpointPolicy` so they
-        can be preempted mid-flight.  A refused (corrupt / version-skewed)
+        With ``config.checkpoint`` set (see :mod:`repro.harness.preempt`)
+        a valid save-state for this spec is restored and *resumed*
+        instead of cold-starting, and fresh runs carry a
+        :class:`~repro.harness.preempt.CheckpointPolicy` so they can be
+        preempted mid-flight.  A refused (corrupt / version-skewed)
         state is quarantined and the point cold-starts: never a wrong
         answer.  ``notes``, when given, collects ``resumed`` /
         ``quarantined`` annotations for the caller's incident log.
         """
         from ..sim.backends import build_system
         from . import preempt
-        if obs is None:
-            from ..obs.schema import obs_from_env
-            obs = obs_from_env()
+        if config is None:
+            from .config import RunConfig
+            config = RunConfig.from_env()
+        obs = config.obs
         if obs is not None and obs.enabled and obs.tag == "run":
             obs = obs.with_tag(self.label())
-        ckpt = preempt.checkpoint_from_env()
         policy = None
-        if ckpt is not None:
+        if config.checkpoint is not None:
             from .store import code_fingerprint
             key = self.key()
             policy = preempt.CheckpointPolicy.for_spec(
-                ckpt, key, code_fingerprint())
+                config.checkpoint, key, code_fingerprint(),
+                chaos=config.chaos)
             system, note = preempt.try_restore(
                 policy.path, spec_key=key, fingerprint=policy.fingerprint)
             if note is not None and notes is not None:
@@ -201,18 +212,21 @@ class ExperimentSpec:
                 # The policy pickled inside the save-state (it rides the
                 # watcher mux); resume() rearms it — re-installing would
                 # reset every watcher countdown and break determinism.
+                # Chaos is per task, so it takes this task's profile.
+                system.checkpoint.chaos = policy.chaos
                 if notes is not None:
                     notes["resumed"] = system.engine.events_processed
                 result = system.resume()
                 preempt.clear_state(policy.path)
                 return result
-        traces = self.build_traces()
+        traces = self.build_traces(config)
         n = min(len(t) for t in traces)
         system = build_system(self.build_config(), traces,
                               engine=self.engine, llc_policy=self.policy,
                               prefetch=self.prefetch, seed=self.seed,
                               measure_records=n // 2, warmup_records=n // 2,
-                              collect_deltas=self.collect_deltas, obs=obs,
+                              collect_deltas=self.collect_deltas,
+                              sanitize=config.sanitize, obs=obs,
                               checkpoint=policy)
         result = system.run()
         if policy is not None:

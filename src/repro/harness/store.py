@@ -19,7 +19,8 @@ harmless because results are deterministic.
 
 The default root is ``~/.cache/repro-care/results``; override with the
 ``REPRO_RESULT_STORE`` environment variable (set it to ``0``, ``off`` or
-the empty string to disable persistence entirely).
+the empty string to disable persistence entirely), which
+:mod:`repro.harness.config` reads.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from ..sim.stats import SimResult
 from .spec import ExperimentSpec
 
 log = logging.getLogger(__name__)
-
-ENV_VAR = "REPRO_RESULT_STORE"
-_DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 
 _fingerprint_cache: Optional[str] = None
 
@@ -151,18 +149,7 @@ class ResultStore:
                 pass
             raise
         self.writes += 1
-        self._maybe_chaos_corrupt(spec, path)
         return path
-
-    def _maybe_chaos_corrupt(self, spec: ExperimentSpec,
-                             path: Path) -> None:
-        """Chaos hook: ``REPRO_CHAOS`` ``corrupt`` truncates selected
-        freshly written entries so the quarantine/fsck path is exercised
-        against real torn files."""
-        from ..checks.chaos import chaos_from_env, corrupt_entry
-        chaos = chaos_from_env()
-        if chaos is not None and corrupt_entry(chaos, spec.key(), path):
-            log.debug("chaos: corrupted store entry %s", path.name)
 
     def _quarantine(self, path: Path, reason: str = "") -> Optional[Path]:
         """Move a bad entry into ``quarantine/`` (never raises)."""
@@ -275,13 +262,12 @@ def default_store() -> Optional[ResultStore]:
     or the directory cannot be created)."""
     global _default_store, _default_resolved
     if not _default_resolved:
+        from .config import result_store_root
         _default_resolved = True
-        raw = os.environ.get(ENV_VAR)
-        if raw is not None and raw.strip().lower() in _DISABLED_VALUES:
+        root = result_store_root()
+        if root is None:
             _default_store = None
         else:
-            root = Path(raw) if raw else (
-                Path.home() / ".cache" / "repro-care" / "results")
             store = ResultStore(root)
             try:
                 store.namespace.mkdir(parents=True, exist_ok=True)

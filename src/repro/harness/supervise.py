@@ -23,7 +23,7 @@ This module supplies the machinery the runner builds on:
   every ``run_many`` call, SIGINT/SIGTERM handlers that flush the
   manifest before exit, and incident logging through ``repro.obs``.
 
-Chaos (``REPRO_CHAOS``, :mod:`repro.checks.chaos`) injects worker
+Chaos (``--chaos``, :mod:`repro.checks.chaos`) injects worker
 raises/hangs/kills and store corruption against exactly this layer; the
 fault-injection suite in ``tests/test_chaos.py`` proves a chaotic sweep
 converges to the byte-identical fault-free result set.
@@ -67,13 +67,10 @@ TRANSIENT_ERROR_NAMES = frozenset({
 
 #: default per-point deadline: a generous base plus work-proportional
 #: slack (records x cores at a floor throughput no healthy point is
-#: slower than).  Override per sweep with ``REPRO_TIMEOUT`` seconds
-#: (<= 0 disables the watchdog entirely).
-TIMEOUT_ENV = "REPRO_TIMEOUT"
+#: slower than).  Override per sweep with ``--timeout`` seconds (<= 0
+#: disables the watchdog entirely).
 DEFAULT_TIMEOUT_BASE = 120.0
 DEFAULT_TIMEOUT_FLOOR_RATE = 25.0   # records*cores per second, worst case
-
-RETRIES_ENV = "REPRO_RETRIES"
 
 
 # ----------------------------------------------------------------------
@@ -198,36 +195,16 @@ class RetryPolicy:
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return base * (1.0 + self.jitter * unit)
 
-    @classmethod
-    def from_env(cls, env: Optional[Dict[str, str]] = None) -> "RetryPolicy":
-        """Policy with ``REPRO_RETRIES`` (attempt cap) applied, if set."""
-        e: Dict[str, str] = dict(os.environ) if env is None else env
-        raw = e.get(RETRIES_ENV, "").strip()
-        if raw:
-            try:
-                return cls(max_attempts=max(1, int(raw)))
-            except ValueError:
-                log.warning("ignoring non-integer %s=%r", RETRIES_ENV, raw)
-        return cls()
-
 
 def compute_timeout(spec: ExperimentSpec,
                     override: Optional[float] = None) -> Optional[float]:
     """Wall-clock deadline (seconds) for one point, or ``None`` (off).
 
-    Precedence: explicit ``override`` > ``REPRO_TIMEOUT`` > the default
-    scale-proportional deadline.  Values <= 0 disable the watchdog.
+    An explicit ``override`` (``--timeout``) wins over the default
+    scale-proportional deadline; values <= 0 disable the watchdog.
     """
     if override is not None:
         return override if override > 0 else None
-    raw = os.environ.get(TIMEOUT_ENV, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            log.warning("ignoring non-numeric %s=%r", TIMEOUT_ENV, raw)
-        else:
-            return value if value > 0 else None
     return (DEFAULT_TIMEOUT_BASE +
             spec.cost_units() / DEFAULT_TIMEOUT_FLOOR_RATE)
 
@@ -473,7 +450,7 @@ class SweepSupervisor:
                  manifest: Optional[SweepManifest] = None,
                  incidents: Optional[Any] = None) -> None:
         self.keep_going = keep_going
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout          # None = per-spec default
         self.manifest = manifest
         self.incidents = incidents      # repro.obs.incidents.IncidentLog

@@ -15,23 +15,23 @@ it, crashes are attributed by exit code and pid, chaos disruptive
 faults stay worker-only, and SIGINT/manifest behavior lives in the
 caller (:func:`repro.harness.runner.run_many`).
 
-Workers outlive env changes in the parent, so every task ships a
-snapshot of the parent's ``REPRO_*`` environment
-(:func:`worker_env_snapshot`) and the worker applies it before
-executing — sanitizer, chaos profile, and trace-cache location follow
-the parent explicitly instead of relying on fork-time inheritance.
+Workers outlive the command that forked them, so every task message
+carries the sweep's :class:`~repro.harness.config.RunConfig`: the
+worker runs the point under exactly that sanitizer, observer,
+checkpoint, chaos and trace-cache setting, never under one a previous
+task shipped or one inherited at fork time.
 """
 
 from __future__ import annotations
 
 import atexit
 import logging
-import os
 import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..sim.stats import SimResult
 from . import preempt
+from .config import RunConfig
 from .preempt import PREEMPT_ERROR
 from .spec import ExperimentSpec
 from .supervise import (
@@ -58,21 +58,6 @@ class PoolUnavailable(Exception):
         self.reason = reason
 
 
-def worker_env_snapshot() -> Dict[str, str]:
-    """The parent's ``REPRO_*`` environment, shipped with every task."""
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-
-
-def _apply_env(env: Dict[str, str]) -> None:
-    """Make the worker's ``REPRO_*`` env equal the shipped snapshot."""
-    for key in [k for k in os.environ
-                if k.startswith("REPRO_") and k not in env]:
-        del os.environ[key]
-    for key, value in env.items():
-        if os.environ.get(key) != value:
-            os.environ[key] = value
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -82,20 +67,20 @@ def _execute_task(msg: Dict[str, Any]) -> Dict[str, Any]:
     notes: Dict[str, Any] = {}
     previous_term = None
     try:
-        from ..checks.chaos import chaos_from_env, inject_execute
-        _apply_env(msg.get("env", {}))
+        from ..checks.chaos import inject_execute
+        config: RunConfig = msg["config"]
+        checkpointing = config.checkpoint is not None
         preempt.clear_preempt()   # a late signal for a previous task
-        if preempt.checkpoint_from_env() is not None:
+        if checkpointing:
             # Only checkpointed tasks trade SIGTERM for a clean preempt;
             # the handler is restored below so an *idle* warm worker
             # keeps default teardown (terminate() stays instant).
             previous_term = preempt.install_preempt_handler()
         spec = ExperimentSpec.from_dict(msg["spec"])
-        chaos = chaos_from_env()
-        if chaos is not None:
-            inject_execute(chaos, spec.key(), msg.get("attempt", 0),
-                           disruptive_ok=True)
-        result = spec.execute(notes=notes)
+        if config.chaos is not None:
+            inject_execute(config.chaos, spec.key(), msg["attempt"],
+                           disruptive_ok=True, checkpointing=checkpointing)
+        result = spec.execute(config, notes=notes)
         payload: Dict[str, Any] = {"ok": True, "result": result.to_dict(),
                                    "duration": time.monotonic() - start}
     except preempt.PreemptedError as exc:
@@ -295,9 +280,13 @@ class PersistentPool:
             = None, *,
             retry: RetryPolicy,
             timeout_for: Callable[[ExperimentSpec], Optional[float]],
+            config: RunConfig,
             supervisor: Optional[SweepSupervisor] = None,
             keep_going: bool = True) -> None:
         """Resolve every spec on the warm pool, retrying transients.
+
+        Every task message carries ``config``; its resource guards and
+        checkpoint setting also drive the parent-side preemption.
 
         Raises :class:`PoolUnavailable` when no worker can be forked
         (the runner falls back to serial) and :class:`SweepInterrupted`
@@ -307,21 +296,21 @@ class PersistentPool:
         """
         self.ensure_started()
         mp_wait = self._mp_wait
-        env = worker_env_snapshot()
 
         # (spec, attempt, not-before) — retries wait out their backoff
         queue: List[Tuple[ExperimentSpec, int, float]] = [
             (spec, 0, 0.0) for spec in specs]
         aborted = False
-        guards = preempt.guards_from_env()
+        guards = config.guards
         guard_next = 0.0
+        ckpt = config.checkpoint
 
         def dispatch(worker: _PoolWorker, spec: ExperimentSpec,
                      attempt: int) -> bool:
             now = time.monotonic()
             try:
                 worker.conn.send({"spec": spec.to_dict(),
-                                  "attempt": attempt, "env": env})
+                                  "attempt": attempt, "config": config})
             except (BrokenPipeError, OSError):
                 self._discard(worker)
                 return False
@@ -428,7 +417,7 @@ class PersistentPool:
 
         def try_preempt_worker(worker: _PoolWorker) -> bool:
             """Checkpoint-first alternative to the watchdog kill."""
-            if preempt.checkpoint_from_env() is None:
+            if ckpt is None:
                 return False
             payload = preempt.try_preempt(worker.proc, worker.conn)
             if payload is None:
@@ -496,8 +485,7 @@ class PersistentPool:
                              "", now - started, pid)
                 if guards.enabled and now >= guard_next:
                     guard_next = now + 1.0
-                    ckpt_cfg = preempt.checkpoint_from_env()
-                    disk_path = ckpt_cfg.dir if ckpt_cfg is not None else "."
+                    disk_path = ckpt.dir if ckpt is not None else "."
                     for worker in [w for w in self._workers if w.busy]:
                         breach = preempt.guard_breach(
                             guards, worker.proc.pid, disk_path)

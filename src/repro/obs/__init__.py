@@ -15,16 +15,15 @@ Three pieces (DESIGN.md §11):
 
 Both observers only *read* simulator state, so observed runs stay
 byte-identical (the golden fixtures are asserted with them attached).
-Configuration travels as a frozen :class:`~repro.obs.schema.ObsConfig`,
-or through the environment for sweep workers
-(``REPRO_METRICS_INTERVAL``, ``REPRO_TRACE``, ``REPRO_TRACE_SAMPLE``,
-``REPRO_TRACE_LIMIT``, ``REPRO_OBS_DIR``).
+Configuration travels as a frozen :class:`~repro.obs.schema.ObsConfig`
+inside the point's :class:`~repro.harness.config.RunConfig`, so sweep
+workers observe exactly what the command asked for.
 """
 
 from .incidents import IncidentLog
 from .sampler import MetricsSampler
 from .schema import (MetricsTable, ObsConfig, OBS_SCHEMA_VERSION,
-                     obs_from_env, write_outputs)
+                     write_outputs)
 from .tracer import ChromeTracer
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "MetricsTable",
     "ObsConfig",
     "OBS_SCHEMA_VERSION",
-    "obs_from_env",
     "write_outputs",
 ]

@@ -1,13 +1,9 @@
 """Observability configuration and the columnar metrics schema.
 
 :class:`ObsConfig` is the single knob bundle for the layer: the CLI
-builds one from ``--metrics-interval``/``--trace`` flags, and
-:meth:`ExperimentSpec.execute` falls back to :func:`obs_from_env` so the
-same knobs reach sweep *worker processes* through the environment
-(``REPRO_METRICS_INTERVAL``, ``REPRO_TRACE``, ``REPRO_TRACE_SAMPLE``,
-``REPRO_TRACE_LIMIT``, ``REPRO_OBS_DIR``) — mirroring how
-``REPRO_SANITIZE`` propagates.  Everything is read lazily, never at
-import time (SimSan SS104).
+builds one from the ``--metrics-interval``/``--trace``/``--trace-sample``
+/``--obs-dir`` flags, and it reaches sweep *worker processes* inside the
+point's :class:`~repro.harness.config.RunConfig`.
 
 :class:`MetricsTable` is the sampler's output: a columnar time-series
 (column name -> list of per-interval values, all the same length) plus a
@@ -65,37 +61,6 @@ class ObsConfig:
     def with_tag(self, tag: str) -> "ObsConfig":
         """Copy with ``tag`` replaced (slashes sanitized for filenames)."""
         return replace(self, tag=tag.replace("/", "-"))
-
-
-def obs_from_env(env: Optional[Dict[str, str]] = None) -> Optional[ObsConfig]:
-    """Build an :class:`ObsConfig` from the environment, or ``None``.
-
-    Returns ``None`` unless at least one of ``REPRO_METRICS_INTERVAL`` /
-    ``REPRO_TRACE`` enables something, so the common (unobserved) path
-    costs one dict lookup per simulation.
-    """
-    import os
-    e = os.environ if env is None else env
-
-    def _int(name: str, default: int) -> int:
-        raw = e.get(name, "").strip()
-        try:
-            return int(raw) if raw else default
-        except ValueError:
-            return default
-
-    interval = _int("REPRO_METRICS_INTERVAL", 0)
-    trace = str(e.get("REPRO_TRACE", "")).strip().lower() not in (
-        "", "0", "off", "false", "no")
-    if interval <= 0 and not trace:
-        return None
-    return ObsConfig(
-        metrics_interval=max(0, interval),
-        trace=trace,
-        trace_sample=max(1, _int("REPRO_TRACE_SAMPLE", 1)),
-        trace_limit=max(1, _int("REPRO_TRACE_LIMIT", DEFAULT_TRACE_LIMIT)),
-        out_dir=e.get("REPRO_OBS_DIR") or None,
-    )
 
 
 @dataclass

@@ -51,7 +51,7 @@ class System:
                  warmup_records: Optional[int] = None,
                  collect_deltas: bool = False,
                  max_events: Optional[int] = None,
-                 sanitize: Optional[bool] = None,
+                 sanitize: bool = False,
                  obs: Optional["ObsConfig"] = None,
                  checkpoint: Optional[Any] = None) -> None:
         if len(traces) != cfg.n_cores:
@@ -60,8 +60,7 @@ class System:
         self.cfg = cfg
         self.prefetch = prefetch
         self.max_events = max_events
-        #: tri-state: True/False force the runtime sanitizer on/off; None
-        #: defers to ``REPRO_SANITIZE`` (read lazily at :meth:`run`)
+        #: attach the runtime invariant sanitizer in :meth:`run`
         self.sanitize = sanitize
         self.sanitizer: Optional[Any] = None
         #: optional :class:`~repro.obs.ObsConfig`; observers attach in
@@ -164,12 +163,6 @@ class System:
                 c.stop()
             self.engine.stop()
 
-    def _sanitize_enabled(self) -> bool:
-        if self.sanitize is not None:
-            return self.sanitize
-        from ..checks.sanitize import sanitize_enabled
-        return sanitize_enabled()
-
     def _attach_obs(self) -> None:
         """Install the metrics sampler and/or event tracer per ``self.obs``.
 
@@ -195,10 +188,10 @@ class System:
     def run(self) -> SimResult:
         """Run to completion of every core's measured region.
 
-        With the sanitizer enabled (``sanitize=True`` or
-        ``REPRO_SANITIZE=1``), invariants are swept every
-        ``REPRO_SANITIZE_INTERVAL`` events and once more at the end; a
-        trip raises :class:`~repro.checks.sanitize.SanitizerError`.  The
+        With ``sanitize=True``, invariants are swept every
+        :data:`~repro.checks.sanitize.DEFAULT_INTERVAL` events and once
+        more at the end; a trip raises
+        :class:`~repro.checks.sanitize.SanitizerError`.  The
         sanitizer observes between events and never perturbs state, so
         results are byte-identical either way.
 
@@ -207,7 +200,7 @@ class System:
         :class:`~repro.harness.preempt.PreemptedError`; a system
         restored from such a state continues via :meth:`resume`.
         """
-        if self._sanitize_enabled():
+        if self.sanitize:
             from ..checks.sanitize import attach_sanitizer
             self.sanitizer = attach_sanitizer(self)
         self._attach_obs()

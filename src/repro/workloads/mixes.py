@@ -9,11 +9,11 @@ deterministic so every scheme sees the identical 100 mixes.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 from .spec_like import DEFAULT_SCALE, spec_names
 from .trace import Trace
-from .tracecache import cached_trace
+from .tracecache import USE_DEFAULT_CACHE, cached_trace
 
 #: the paper's mixed-workload count
 N_MIXES = 100
@@ -30,9 +30,10 @@ def mixed_workload_names(n_cores: int, mix_id: int,
 
 
 def mixed_workload_traces(n_cores: int, mix_id: int, n_records: int,
-                          seed: int = 0,
-                          scale: int = DEFAULT_SCALE) -> List[Trace]:
-    """Per-core traces for one mixed workload.
+                          seed: int = 0, scale: int = DEFAULT_SCALE,
+                          cache: Any = USE_DEFAULT_CACHE) -> List[Trace]:
+    """Per-core traces for one mixed workload, through ``cache`` (see
+    :func:`~repro.workloads.tracecache.cached_trace`).
 
     Each slot uses a distinct generation seed so two copies of the same
     benchmark in one mix are *different* trace instances (different address
@@ -42,29 +43,23 @@ def mixed_workload_traces(n_cores: int, mix_id: int, n_records: int,
     names = mixed_workload_names(n_cores, mix_id)
     return [
         cached_trace("spec", name, n_records=n_records,
-                     seed=seed + 31 * slot, scale=scale)
+                     seed=seed + 31 * slot, scale=scale, cache=cache)
         for slot, name in enumerate(names)
     ]
 
 
 def multicopy_traces(name: str, n_cores: int, n_records: int, seed: int = 0,
-                     scale: int = DEFAULT_SCALE, suite: str = "spec") -> List[Trace]:
-    """n identical-benchmark traces (the paper's multi-copy workloads).
+                     scale: int = DEFAULT_SCALE, suite: str = "spec",
+                     cache: Any = USE_DEFAULT_CACHE) -> List[Trace]:
+    """n identical-benchmark traces (the paper's multi-copy workloads),
+    through ``cache`` (see :func:`~repro.workloads.tracecache.cached_trace`).
 
     Copies use distinct seeds so the runs are not synchronized, matching
     "each trace does not start exactly at the same time".
     """
-    if suite == "spec":
-        return [cached_trace("spec", name, n_records=n_records,
-                             seed=seed + 31 * c, scale=scale)
-                for c in range(n_cores)]
-    if suite == "gap":
-        return [cached_trace("gap", name, n_records=n_records,
-                             seed=seed + 31 * c, scale=scale)
-                for c in range(n_cores)]
-    if suite == "serve":
-        return [cached_trace("serve", name, n_records=n_records,
-                             seed=seed + 31 * c, scale=scale)
+    if suite in ("spec", "gap", "serve"):
+        return [cached_trace(suite, name, n_records=n_records,
+                             seed=seed + 31 * c, scale=scale, cache=cache)
                 for c in range(n_cores)]
     raise ValueError(
         f"unknown suite {suite!r} (want 'spec', 'gap' or 'serve')")

@@ -27,9 +27,12 @@ uncacheable (generated fresh every time) rather than subtly different.
 The golden-equivalence suite pins this: fixtures reproduce byte-for-byte
 with the cache cold, warm, and disabled.
 
-Enable/point the cache with ``REPRO_TRACE_CACHE`` (default
-``~/.cache/repro-care/traces``; set to ``0``/``off``/``none``/empty to
-disable) or the ``--trace-cache`` CLI flag.
+A run names its cache directory in its
+:class:`~repro.harness.config.RunConfig` (the ``--trace-cache`` CLI
+flag, else ``REPRO_TRACE_CACHE``, default ``~/.cache/repro-care/traces``;
+``0``/``off``/``none``/empty disables it).  Each process keeps one
+:class:`TraceCache` per directory (:func:`trace_cache_for`), so a warm
+worker keeps its in-memory memo from task to task.
 """
 
 from __future__ import annotations
@@ -42,15 +45,12 @@ import struct
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from .io import load_trace, save_trace
 from .trace import Trace
 
 log = logging.getLogger(__name__)
-
-ENV_VAR = "REPRO_TRACE_CACHE"
-_DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 
 #: trace-key schema — bump when key semantics change
 KEY_VERSION = 1
@@ -122,9 +122,13 @@ class TraceCache:
     """
 
     def __init__(self, root: Union[str, Path],
-                 fingerprint: Optional[str] = None) -> None:
+                 fingerprint: Optional[str] = None,
+                 chaos: Optional[Any] = None) -> None:
         self.root = Path(root)
         self.fingerprint = fingerprint or workloads_fingerprint()
+        #: the run's :class:`~repro.checks.chaos.ChaosConfig` (its
+        #: ``corrupt`` fault tears fresh entries), or ``None``
+        self.chaos = chaos
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -212,9 +216,8 @@ class TraceCache:
     def _maybe_chaos_corrupt(self, key: str, path: Path) -> None:
         """Chaos hook: the ``corrupt`` fault truncates selected fresh
         entries, exercising quarantine/fsck against real torn files."""
-        from ..checks.chaos import chaos_from_env, corrupt_entry
-        chaos = chaos_from_env()
-        if chaos is not None and corrupt_entry(chaos, key, path):
+        from ..checks.chaos import corrupt_entry
+        if self.chaos is not None and corrupt_entry(self.chaos, key, path):
             log.debug("chaos: corrupted trace cache entry %s", path.name)
 
     def _quarantine(self, path: Path, reason: str = "") -> Optional[Path]:
@@ -282,60 +285,65 @@ class TraceCache:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default (env-keyed, so long-lived workers track changes)
+# One cache per directory per process
 # ----------------------------------------------------------------------
-_default_cache: Optional[TraceCache] = None
-#: the raw env value the current default was resolved from; ``None``
-#: means "unresolved".  Unlike the result store's one-shot resolution,
-#: the default is *re*-resolved whenever ``REPRO_TRACE_CACHE`` changes —
-#: persistent pool workers receive env snapshots per task and must honor
-#: them without a process restart.
-_resolved_env: Optional[str] = None
+#: sentinel: "the cache ``REPRO_TRACE_CACHE`` names" (``None`` is "off")
+USE_DEFAULT_CACHE: Any = object()
+
+#: the cache of the directory last asked for; asking for another one
+#: replaces it, so a worker's memo follows the run it serves
+_current: Optional[TraceCache] = None
+_override: Optional[TraceCache] = None
 _override_active = False
 
 
-def default_trace_cache() -> Optional[TraceCache]:
-    """Process-wide cache from ``REPRO_TRACE_CACHE`` (``None`` if disabled
-    or the directory cannot be created)."""
-    # SS601: env-keyed memo, safe in warm workers by design — the pair
-    # (_resolved_env, _default_cache) is a pure function of the current
-    # REPRO_TRACE_CACHE value, re-resolved after every per-task env
-    # snapshot, and the cache it names is content-addressed on disk.
-    global _default_cache, _resolved_env
-    if _override_active:
-        return _default_cache
-    raw = os.environ.get(ENV_VAR)
-    env_key = "\0unset" if raw is None else raw
-    if _resolved_env == env_key:
-        return _default_cache
-    _resolved_env = env_key  # simsan: skip=SS601
-    if raw is not None and raw.strip().lower() in _DISABLED_VALUES:
-        _default_cache = None  # simsan: skip=SS601
-    else:
-        root = Path(raw) if raw else (
-            Path.home() / ".cache" / "repro-care" / "traces")
-        cache = TraceCache(root)
+def trace_cache_for(root: Optional[str],
+                    chaos: Optional[Any] = None) -> Optional[TraceCache]:
+    """This process's cache for directory ``root`` (``None`` when
+    ``root`` is ``None`` or the directory cannot be created).
+
+    Repeated calls with the same directory and chaos profile return the
+    same object, and with it the in-memory memo.
+    """
+    # SS601: a memo keyed by its arguments — a task asking for another
+    # directory or chaos profile replaces it, so no task ever reads
+    # another task's settings, and the cache it names is content-addressed.
+    global _current
+    if root is None:
+        return None
+    cache = _current
+    if cache is None or cache.root != Path(root) or cache.chaos != chaos:
+        cache = TraceCache(root, chaos=chaos)
         try:
             cache.namespace.mkdir(parents=True, exist_ok=True)
-            _default_cache = cache  # simsan: skip=SS601
         except OSError:
-            _default_cache = None  # simsan: skip=SS601
-    return _default_cache
+            return None
+        _current = cache  # simsan: skip=SS601
+    return cache
+
+
+def default_trace_cache() -> Optional[TraceCache]:
+    """The cache ``REPRO_TRACE_CACHE`` names right now (``None`` if
+    disabled or the directory cannot be created)."""
+    if _override_active:
+        return _override
+    from ..harness.config import RunConfig
+    return trace_cache_for(RunConfig.from_env().trace_cache)
 
 
 def set_default_trace_cache(cache: Optional[TraceCache]) -> None:
-    """Install ``cache`` process-wide, ignoring the environment until
+    """Install ``cache`` as the default, ignoring the environment until
     :func:`reset_default_trace_cache` (tests use this with a tmp dir)."""
-    global _default_cache, _override_active
-    _default_cache = cache
+    global _override, _override_active
+    _override = cache
     _override_active = True
 
 
 def reset_default_trace_cache() -> None:
-    """Forget the cached default; next use re-reads the environment."""
-    global _default_cache, _resolved_env, _override_active
-    _default_cache = None
-    _resolved_env = None
+    """Drop the override and the per-process cache."""
+    global _current, _override, _override_active
+    _current = None
+    _override = None
     _override_active = False
 
 
@@ -359,17 +367,17 @@ def generate_trace(kind: str, name: str, n_records: int, seed: int,
 
 
 def cached_trace(kind: str, name: str, n_records: int, seed: int,
-                 scale: int,
-                 cache: Optional[TraceCache] = None) -> Trace:
-    """One trace via the cache: memo -> disk -> generate (and persist).
+                 scale: int, cache: Any = USE_DEFAULT_CACHE) -> Trace:
+    """One trace via ``cache``: memo -> disk -> generate (and persist).
 
-    With the cache disabled this is exactly a direct generator call, and
-    generated traces round-trip the native format exactly (pinned by the
-    golden suite), so enabling the cache can never change a result.
+    ``cache`` defaults to :func:`default_trace_cache`; ``None`` turns
+    caching off, which makes this exactly a direct generator call.
+    Generated traces round-trip the native format exactly (pinned by
+    the golden suite), so enabling the cache can never change a result.
     """
     if kind == "gap":
         scale = 0  # gap generation has no scale knob; keep keys canonical
-    if cache is None:
+    if cache is USE_DEFAULT_CACHE:
         cache = default_trace_cache()
     if cache is None:
         return generate_trace(kind, name, n_records, seed, scale)

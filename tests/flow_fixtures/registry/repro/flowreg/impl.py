@@ -1,26 +1,6 @@
-"""Fixture backends and a decorator-registered policy."""
+"""Fixture decorator-registered policy."""
 
 from .registry import register
-
-
-class ImplA:
-    __slots__ = ("state",)
-
-    def __init__(self):
-        self.state = 0
-
-    def ping(self):
-        return "a"
-
-
-class ImplB:
-    __slots__ = ("state",)
-
-    def __init__(self):
-        self.state = 1
-
-    def ping(self):
-        return "b"
 
 
 @register("care")

@@ -1,19 +1,6 @@
-"""Fixture registries: string-table backends + decorator policies."""
-
-#: Lazily imported backends, name -> "module:Class" (the string-table
-#: registry shape the flow analysis links structurally).
-_BACKENDS = {
-    "alpha": "repro.flowreg.impl:ImplA",
-    "beta": "repro.flowreg.impl:ImplB",
-}
+"""Fixture registry: decorator-registered policies."""
 
 _POLICIES = {}
-
-
-def load(name):
-    """String-table consumer: flow links this to ImplA/ImplB."""
-    target = _BACKENDS[name]
-    return target
 
 
 def register(name):

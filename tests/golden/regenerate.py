@@ -11,22 +11,25 @@ Every spec is executed with the runtime sanitizer enabled (see
 :mod:`repro.checks.sanitize`): if any invariant trips, **no fixture file
 is written** — a corrupted simulator must never mint new ground truth.
 ``--check`` verifies the existing fixtures under the sanitizer without
-writing anything (the CI sanitizer job runs this).
+writing anything (the CI sanitizer job runs this, with a tighter
+``--interval``).
 
 Only regenerate after an *intentional* behaviour change (a model fix, a
 new statistic), never to make a failing optimization pass — and say so in
 the commit message.  Usage::
 
-    PYTHONPATH=src python tests/golden/regenerate.py [--check]
+    PYTHONPATH=src python tests/golden/regenerate.py [--check] [--interval N]
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "src"))
 
-from repro.checks.sanitize import SanitizerError, sanitize_interval  # noqa: E402
+from repro.checks.sanitize import (DEFAULT_INTERVAL, SanitizerError,  # noqa: E402
+                                   attach_sanitizer)
 from repro.harness.spec import ExperimentSpec  # noqa: E402
 from repro.sim import System  # noqa: E402
 
@@ -66,26 +69,40 @@ GOLDEN_SPECS = {
 }
 
 
-def execute_sanitized(spec: ExperimentSpec):
-    """``spec.execute()`` with the runtime sanitizer force-enabled."""
+def execute_sanitized(spec: ExperimentSpec, interval: int):
+    """``spec.execute()`` with the runtime sanitizer sweeping every
+    ``interval`` events."""
     traces = spec.build_traces()
     n = min(len(t) for t in traces)
     system = System(spec.build_config(), traces, llc_policy=spec.policy,
                     prefetch=spec.prefetch, seed=spec.seed,
                     measure_records=n // 2, warmup_records=n // 2,
-                    collect_deltas=spec.collect_deltas, sanitize=True)
+                    collect_deltas=spec.collect_deltas)
+    # run() sweeps once more at the end and uninstalls it, exactly as
+    # for System(..., sanitize=True)
+    system.sanitizer = attach_sanitizer(system, interval=interval)
     result = system.run()
     return result, system.sanitizer
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    check_only = "--check" in argv
+    parser = argparse.ArgumentParser(
+        description="Regenerate (or --check) the golden fixtures under "
+                    "the runtime sanitizer.")
+    parser.add_argument("--check", action="store_true",
+                        help="verify the fixtures; write nothing")
+    parser.add_argument("--interval", type=int, default=DEFAULT_INTERVAL,
+                        metavar="N",
+                        help="events between sanitizer sweeps "
+                             f"(default {DEFAULT_INTERVAL})")
+    args = parser.parse_args(argv)
+    if args.interval < 1:
+        parser.error("--interval must be >= 1")
 
     payloads = {}
     for name, spec in sorted(GOLDEN_SPECS.items()):
         try:
-            result, sanitizer = execute_sanitized(spec)
+            result, sanitizer = execute_sanitized(spec, args.interval)
         except SanitizerError as exc:
             print(f"SANITIZER TRIP on {name}: {exc}", file=sys.stderr)
             print("no fixtures written — fix the simulator first",
@@ -95,9 +112,9 @@ def main(argv=None) -> int:
                           "result": result.to_dict()}
         print(f"ran {name}: cycles={result.sim_cycles} "
               f"events={result.events} sanitizer_sweeps="
-              f"{sanitizer.checks_run} (interval {sanitize_interval()})")
+              f"{sanitizer.checks_run} (interval {sanitizer.interval})")
 
-    if check_only:
+    if args.check:
         stale = []
         for name, payload in payloads.items():
             path = GOLDEN_DIR / f"{name}.json"

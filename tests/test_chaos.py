@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.checks.chaos import (ChaosConfig, ChaosError, FAULTS,
-                                chaos_from_env, corrupt_entry,
-                                inject_execute, parse_chaos,
+                                corrupt_entry, inject_execute, parse_chaos,
                                 planned_faults, should_inject)
 from repro.harness import ExperimentSpec, ResultStore, run_many
+from repro.harness.config import RunConfig
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import reset_default_store, set_default_store
 from repro.harness.supervise import RetryPolicy, SweepFailedError
@@ -19,8 +19,7 @@ WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
 
 @pytest.fixture(autouse=True)
-def isolated(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+def isolated(tmp_path):
     clear_memo()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
@@ -32,6 +31,11 @@ def isolated(tmp_path, monkeypatch):
 def specs_for(workloads, n_records=300):
     return [ExperimentSpec.single(w, "lru", n_records=n_records)
             for w in workloads]
+
+
+def chaos(profile, **settings):
+    """A run configuration with chaos ``profile`` on."""
+    return RunConfig(chaos=parse_chaos(profile), **settings)
 
 
 # ----------------------------------------------------------------------
@@ -57,13 +61,18 @@ def test_parse_chaos_rejects_garbage():
         parse_chaos(":1")
 
 
-def test_chaos_from_env_off_values(monkeypatch):
-    for value in ("", "0", "off", "none", "OFF"):
+def test_chaos_env_var_is_retired(monkeypatch, caplog):
+    """Chaos is a flag only: ``REPRO_CHAOS`` is off for every value,
+    even a valid profile, and draws a warning instead."""
+    from repro.harness import config
+    monkeypatch.setattr(config, "_WARNED", set())
+    for value in ("", "off", "raise:5", "all:11:1/3"):
         monkeypatch.setenv("REPRO_CHAOS", value)
-        assert chaos_from_env() is None
-    monkeypatch.setenv("REPRO_CHAOS", "raise:5")
-    cfg = chaos_from_env()
-    assert cfg is not None and cfg.faults == ("raise",)
+        assert RunConfig.from_env().chaos is None
+    assert [r.getMessage() for r in caplog.records].count(
+        "ignoring REPRO_CHAOS: the environment only sets "
+        + ", ".join(config.ENV_VARS)
+        + "; use the command-line flag instead") == 1
 
 
 # ----------------------------------------------------------------------
@@ -128,23 +137,23 @@ def test_corrupt_entry_truncates_selected_files(tmp_path):
 # ----------------------------------------------------------------------
 # End-to-end: the harness absorbs injected faults
 # ----------------------------------------------------------------------
-def test_flaky_chaos_is_absorbed_by_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "flaky:7:1/1")
+def test_flaky_chaos_is_absorbed_by_retries():
     specs = specs_for(WORKLOADS)
     stats = SweepStats()
     results = run_many(specs, workers=1, stats_out=stats,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=chaos("flaky:7:1/1"))
     assert all(r is not None for r in results)
     assert stats.retried == len(specs)    # every point flaked once
     assert stats.failed == 0
 
 
-def test_raise_chaos_lands_in_the_failure_table(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "raise:7:1/1")
+def test_raise_chaos_lands_in_the_failure_table():
     specs = specs_for(WORKLOADS)
     with pytest.raises(SweepFailedError) as excinfo:
         run_many(specs, workers=1,
-                 retry=RetryPolicy(max_attempts=2, backoff=0.01))
+                 retry=RetryPolicy(max_attempts=2, backoff=0.01),
+                 config=chaos("raise:7:1/1"))
     failures = excinfo.value.failures
     assert len(failures) == len(specs)
     assert all(f.error == "ChaosError" and f.permanent for f in failures)
@@ -152,16 +161,15 @@ def test_raise_chaos_lands_in_the_failure_table(monkeypatch):
     assert all(f.attempts == 1 for f in failures)
 
 
-def test_chaotic_sweep_resumes_to_fault_free_results(isolated, monkeypatch):
+def test_chaotic_sweep_resumes_to_fault_free_results(isolated):
     """Acceptance: chaos -> failures; resume with chaos off -> the result
     set is byte-identical to a fault-free run."""
     specs = specs_for(WORKLOADS)
-    monkeypatch.setenv("REPRO_CHAOS", "raise,flaky,corrupt:11:1/2")
     chaotic = run_many(specs, workers=1, keep_going=True, on_failure="none",
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=chaos("raise,flaky,corrupt:11:1/2"))
     assert any(r is None for r in chaotic)     # seed 11 hits >= 1 point
 
-    monkeypatch.delenv("REPRO_CHAOS")
     clear_memo()
     resumed = run_many(specs, workers=1)
     assert all(r is not None for r in resumed)
@@ -173,32 +181,48 @@ def test_chaotic_sweep_resumes_to_fault_free_results(isolated, monkeypatch):
 
 
 def test_chaotic_resumed_sweep_byte_identical_on_persistent_pool(
-        isolated, monkeypatch, tmp_path):
+        isolated, tmp_path):
     """The PR 7 warm pool under disruptive chaos (hangs, worker kills,
     store corruption) + trace cache still converges: resume with chaos
     off is byte-identical to a store-less fault-free run."""
     from repro.harness.turbo import shutdown_shared_pool
-    from repro.workloads.tracecache import reset_default_trace_cache
 
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_TIMEOUT", "5")
+    traces = str(tmp_path / "traces")
     specs = specs_for(WORKLOADS)
     try:
-        monkeypatch.setenv("REPRO_CHAOS", "raise,kill,corrupt:11:1/2")
         run_many(specs, workers=2, keep_going=True, on_failure="none",
-                 retry=RetryPolicy(max_attempts=2, backoff=0.01))
+                 retry=RetryPolicy(max_attempts=2, backoff=0.01),
+                 timeout=5, config=chaos("raise,kill,corrupt:11:1/2",
+                                         trace_cache=traces))
 
-        monkeypatch.delenv("REPRO_CHAOS")
         clear_memo()
-        resumed = run_many(specs, workers=2)
+        resumed = run_many(specs, workers=2, timeout=5,
+                           config=RunConfig(trace_cache=traces))
         assert all(r is not None for r in resumed)
 
         clear_memo()
         set_default_store(None)
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        clean = run_many(specs, workers=1)
+        clean = run_many(specs, workers=1, config=RunConfig())
         assert [r.to_json() for r in resumed] == \
             [r.to_json() for r in clean]
     finally:
         shutdown_shared_pool()
-        reset_default_trace_cache()
+
+
+def test_corrupt_chaos_tears_store_and_trace_cache_writes_on_the_pool(
+        isolated, tmp_path):
+    """The pool's workers write the trace cache and the parent writes
+    the store; chaos ``corrupt`` in the run configuration tears both,
+    and fsck quarantines every torn entry."""
+    from repro.harness.turbo import shutdown_shared_pool
+    from repro.workloads.tracecache import TraceCache
+
+    traces = str(tmp_path / "traces")
+    specs = specs_for(WORKLOADS[:2])
+    try:
+        run_many(specs, workers=2,
+                 config=chaos("corrupt:1:1/1", trace_cache=traces))
+    finally:
+        shutdown_shared_pool()
+    assert len(isolated.fsck().quarantined) == len(specs)
+    assert len(TraceCache(traces).fsck().quarantined) == len(specs)

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -215,23 +216,15 @@ def test_check_flow_detects_seeded_unsafe_worker(capsys, tmp_path):
 # Fault tolerance: chaos sweeps, resume, fsck, incident reports
 # ----------------------------------------------------------------------
 @pytest.fixture
-def sweep_env(tmp_path, monkeypatch):
-    """Isolated store + memo + chaos env for supervised-CLI tests."""
-    import os
-
+def sweep_env(tmp_path):
+    """Isolated store + memo for supervised-CLI tests."""
     from repro.harness.runner import clear_memo
     from repro.harness.store import (ResultStore, reset_default_store,
                                      set_default_store)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     clear_memo()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
     yield store
-    # --chaos and the observer flags export with plain os.environ
-    # writes, which monkeypatch would faithfully *restore* on undo —
-    # pop them directly.
-    for var in ("REPRO_CHAOS", "REPRO_METRICS_INTERVAL", "REPRO_OBS_DIR"):
-        os.environ.pop(var, None)
     clear_memo()
     reset_default_store()
 
@@ -257,8 +250,6 @@ def supervised_argv(command, tmp_path):
 
 def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
                                                    capsys):
-    import os
-
     from repro.harness.runner import clear_memo
     from repro.harness.store import ResultStore, set_default_store
     path = str(write_campaign(tmp_path))
@@ -273,8 +264,6 @@ def test_sweep_chaos_fails_with_table_then_resumes(sweep_env, tmp_path,
     assert "--resume" in captured.err
 
     # chaos off + --resume completes and matches a fault-free sweep
-    # (plain pop: --chaos exported it with a raw os.environ write)
-    os.environ.pop("REPRO_CHAOS", None)
     clear_memo()
     assert main(base + ["--resume"]) == 0
     clean = ResultStore(tmp_path / "clean")
@@ -389,7 +378,6 @@ def test_run_with_checkpoint_flag_absorbs_preempt_chaos(sweep_env,
                                                         tmp_path, capsys):
     """--checkpoint + chaos preempt: every point is preempted mid-run,
     resumed from its save-state, and the output matches a clean run."""
-    import os
     base = ["run", "462.libquantum", "--policies", "lru",
             "--records", "600", "--no-store", "--json",
             "--obs-dir", str(tmp_path / "obs")]
@@ -398,9 +386,6 @@ def test_run_with_checkpoint_flag_absorbs_preempt_chaos(sweep_env,
     chaotic = json.loads(capsys.readouterr().out)
     assert chaotic[0]["result"] is not None
 
-    for var in ("REPRO_CHAOS", "REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS",
-                "REPRO_CKPT_SECS"):
-        os.environ.pop(var, None)
     from repro.harness.runner import clear_memo
     clear_memo()
     assert main(base) == 0
@@ -410,8 +395,80 @@ def test_run_with_checkpoint_flag_absorbs_preempt_chaos(sweep_env,
     assert not list((tmp_path / "obs" / "ckpt").rglob("*.ckpt.gz"))
 
 
+def test_run_flags_build_one_run_config(monkeypatch):
+    """``run``/``campaign run`` flags become one RunConfig; only the
+    deployment settings come from the environment."""
+    from repro.__main__ import _run_config
+    from repro.checks.chaos import parse_chaos
+    from repro.harness.preempt import CheckpointConfig, ResourceGuards
+    from repro.obs import ObsConfig
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "/env/traces")
+    monkeypatch.setenv("REPRO_RSS_BUDGET_MB", "512")
+
+    def config(*flags, command=("run", "429.mcf")):
+        return _run_config(build_parser().parse_args(
+            [*command, "--obs-dir", "o", *flags]))
+
+    plain = config()
+    assert (plain.sanitize, plain.obs, plain.checkpoint, plain.chaos) == \
+        (False, None, None, None)
+    assert plain.trace_cache == "/env/traces"
+    assert plain.guards == ResourceGuards(rss_budget_mb=512)
+    full = config("--sanitize", "--chaos", "flaky:3:1/2", "--trace",
+                  "--trace-sample", "8", "--metrics-interval", "500",
+                  "--trace-cache", "off", command=("campaign", "run"))
+    assert full.sanitize and full.chaos == parse_chaos("flaky:3:1/2")
+    assert full.obs == ObsConfig(metrics_interval=500, trace=True,
+                                 trace_sample=8, out_dir="o")
+    assert full.trace_cache is None
+    assert config("--trace-cache", "/flag").trace_cache == "/flag"
+    # --checkpoint: states under <obs-dir>/ckpt, cadence optional
+    ckpt = os.path.join("o", "ckpt")
+    assert config("--checkpoint").checkpoint == CheckpointConfig(dir=ckpt)
+    assert config("--checkpoint", "5000", "--checkpoint-secs",
+                  "2.5").checkpoint == CheckpointConfig(
+                      dir=ckpt, every_events=5000, every_secs=2.5)
+    assert config("--checkpoint-secs", "-1").checkpoint == \
+        CheckpointConfig(dir=ckpt)
+    assert config("--checkpoint", "-3").checkpoint.every_events == 1
+
+
+def test_run_flags_do_not_leak_into_a_later_main_call(sweep_env, tmp_path,
+                                                      monkeypatch):
+    """Regression: one ``main()`` call's flags must not outlive it.  A
+    traced, sanitized, checkpointed first run used to leave a plain
+    second run traced (into the first run's --obs-dir), sanitized and
+    checkpointed."""
+    from repro.checks import sanitize
+    from repro.harness import preempt
+    calls = {"sanitize": 0, "checkpoint": 0}
+    attach, restore = sanitize.attach_sanitizer, preempt.try_restore
+
+    def counting_attach(*args, **kwargs):
+        calls["sanitize"] += 1
+        return attach(*args, **kwargs)
+
+    def counting_restore(*args, **kwargs):
+        calls["checkpoint"] += 1
+        return restore(*args, **kwargs)
+
+    monkeypatch.setattr(sanitize, "attach_sanitizer", counting_attach)
+    monkeypatch.setattr(preempt, "try_restore", counting_restore)
+    base = ["run", "462.libquantum", "--records", "400", "--no-store"]
+    assert main(base + ["--policies", "lru", "--trace", "--checkpoint",
+                        "--sanitize",
+                        "--obs-dir", str(tmp_path / "obs1")]) == 0
+    assert calls == {"sanitize": 1, "checkpoint": 1}
+    assert main(base + ["--policies", "srrip",
+                        "--obs-dir", str(tmp_path / "obs2")]) == 0
+    assert calls == {"sanitize": 1, "checkpoint": 1}   # plain second run
+    traces = [p.relative_to(tmp_path).as_posix()
+              for p in tmp_path.rglob("*.trace.json")]
+    assert traces == ["obs1/462.libquantum-lru-1c-nopf.trace.json"]
+
+
 def test_store_fsck_validates_manifests(sweep_env, tmp_path, capsys):
-    import os
     manifest = tmp_path / "m.manifest.json"
     assert main(["campaign", "run", str(write_campaign(tmp_path)),
                  "--workers", "1", "--quiet",
@@ -427,7 +484,6 @@ def test_store_fsck_validates_manifests(sweep_env, tmp_path, capsys):
     assert "1 quarantined" in out and "fresh ledger" in out
     assert (tmp_path / "quarantine" / manifest.name).is_file()
     assert main(["store", "fsck", "--manifests", str(manifest)]) == 0
-    os.environ.pop("REPRO_CHAOS", None)
 
 
 def test_store_fsck_command(sweep_env, capsys):

@@ -92,14 +92,6 @@ def test_fixture_module_names_anchor_at_repro():
     assert "repro.flowreg.registry" in index.modules
 
 
-def test_string_table_registry_links_loader_to_backends():
-    graph, index = fixture_graph()
-    edges = graph.successors("repro.flowreg.registry.load")
-    registry = {e.dst for e in edges if e.kind == "registry"}
-    assert "repro.flowreg.impl.ImplA.__init__" in registry
-    assert "repro.flowreg.impl.ImplB.__init__" in registry
-
-
 def test_decorator_registry_links_resolver_to_registered_policy():
     graph, index = fixture_graph()
     edges = graph.successors("repro.flowreg.registry.make_policy")

@@ -71,19 +71,19 @@ def test_result_is_bit_identical_with_observers_attached(path):
     metrics sampler both enabled; the result must stay byte-identical to
     the fixture produced without observers.
     """
+    from repro.harness.config import RunConfig
     from repro.obs import ObsConfig
 
     stored = json.loads(path.read_text())
     spec = ExperimentSpec.from_dict(stored["spec"])
     obs = ObsConfig(metrics_interval=2_000, trace=True, trace_sample=1)
-    result = spec.execute(obs=obs)
+    result = spec.execute(RunConfig(obs=obs))
     assert _canonical(result.to_dict()) == _canonical(stored["result"]), (
         f"observers perturbed the simulation for {path.name}")
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
-def test_result_is_bit_identical_after_checkpoint_restore(
-        path, tmp_path, monkeypatch):
+def test_result_is_bit_identical_after_checkpoint_restore(path, tmp_path):
     """A forced mid-run checkpoint + restore must be invisible: the
     resumed second half produces the exact fixture bytes on every
     fixture (the save-state contract)."""
@@ -91,15 +91,14 @@ def test_result_is_bit_identical_after_checkpoint_restore(
 
     stored = json.loads(path.read_text())
     spec = ExperimentSpec.from_dict(stored["spec"])
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CKPT_EVENTS", "2000")
+    config = checkpointing(tmp_path, 2000)
     preempt.clear_preempt()
     preempt.request_preempt()
     try:
         with pytest.raises(preempt.PreemptedError):
-            spec.execute()
+            spec.execute(config)
         notes = {}
-        result = spec.execute(notes=notes)
+        result = spec.execute(config, notes=notes)
     finally:
         preempt.clear_preempt()
     assert notes.get("resumed", 0) > 0, "restore did not happen"
@@ -107,7 +106,16 @@ def test_result_is_bit_identical_after_checkpoint_restore(
         f"checkpoint/restore perturbed the simulation for {path.name}")
 
 
-def _preempted(spec):
+def checkpointing(tmp_path, every):
+    """A run configuration saving state into ``tmp_path`` every
+    ``every`` events."""
+    from repro.harness.config import RunConfig
+    from repro.harness.preempt import CheckpointConfig
+    return RunConfig(checkpoint=CheckpointConfig(dir=str(tmp_path),
+                                                 every_events=every))
+
+
+def _preempted(spec, config):
     """Execute ``spec`` with a preempt request pending and return the
     :class:`~repro.harness.preempt.PreemptedError` (its save-state path
     and event count)."""
@@ -115,13 +123,13 @@ def _preempted(spec):
 
     preempt.request_preempt()
     with pytest.raises(preempt.PreemptedError) as excinfo:
-        spec.execute()
+        spec.execute(config)
     return excinfo.value
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
 def test_result_is_bit_identical_after_restore_in_measured_region(
-        path, tmp_path, monkeypatch):
+        path, tmp_path):
     """A cut after every core left warmup must be invisible too: the
     save-state then carries the post-warmup statistics objects, each
     core's measured-region start and partly filled PMC intervals."""
@@ -131,19 +139,17 @@ def test_result_is_bit_identical_after_restore_in_measured_region(
 
     stored = json.loads(path.read_text())
     spec = ExperimentSpec.from_dict(stored["spec"])
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CKPT_EVENTS",
-                       str(stored["result"]["events"] * 3 // 4))
+    config = checkpointing(tmp_path, stored["result"]["events"] * 3 // 4)
     preempt.clear_preempt()
     try:
-        cut = _preempted(spec)
+        cut = _preempted(spec, config)
         saved = decode_savestate(Path(cut.path).read_bytes(),
                                  spec_key=spec.key(),
                                  fingerprint=code_fingerprint())
         assert all(core.warm for core in saved.cores)
         assert not all(core.finished for core in saved.cores)
         notes = {}
-        result = spec.execute(notes=notes)
+        result = spec.execute(config, notes=notes)
     finally:
         preempt.clear_preempt()
     assert notes.get("resumed") == cut.events
@@ -153,7 +159,7 @@ def test_result_is_bit_identical_after_restore_in_measured_region(
 
 @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
 def test_result_is_bit_identical_after_two_checkpoint_restores(
-        path, tmp_path, monkeypatch):
+        path, tmp_path):
     """A resumed point can be preempted again: the restored checkpoint
     policy keeps its countdown, the state it writes restores in turn,
     and the twice-resumed run still produces the fixture bytes."""
@@ -162,14 +168,13 @@ def test_result_is_bit_identical_after_two_checkpoint_restores(
     stored = json.loads(path.read_text())
     spec = ExperimentSpec.from_dict(stored["spec"])
     every = stored["result"]["events"] // 3
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CKPT_EVENTS", str(every))
+    config = checkpointing(tmp_path, every)
     preempt.clear_preempt()
     try:
-        first = _preempted(spec)
-        second = _preempted(spec)      # resumes ``first``, then is cut
+        first = _preempted(spec, config)
+        second = _preempted(spec, config)   # resumes ``first``, then is cut
         notes = {}
-        result = spec.execute(notes=notes)
+        result = spec.execute(config, notes=notes)
     finally:
         preempt.clear_preempt()
     assert (first.events, second.events) == (every, 2 * every)

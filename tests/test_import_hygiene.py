@@ -6,11 +6,15 @@
 * numpy and scipy load only where they are used (GAP graph generation
   and ``analysis.statistics``), so a SPEC-like simulation process never
   pays for importing them.
+* Only ``repro.harness.config`` reads the environment, which holds four
+  deployment settings; every other run setting travels in a
+  ``RunConfig``.
 """
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -51,6 +55,22 @@ def test_every_repro_module_is_tracked_by_git():
     assert not untracked, (
         f"modules import from files git does not track (ignored or never "
         f"added): {untracked}")
+
+
+def test_only_the_run_config_module_reads_the_environment():
+    pkg_dir = Path(repro.__file__).resolve().parent
+    readers, names = [], set()
+    for path in sorted(pkg_dir.rglob("*.py")):
+        rel = path.relative_to(pkg_dir).as_posix()
+        text = path.read_text()
+        names.update(re.findall(r"REPRO_[A-Z0-9_]+", text))
+        # SimSan's lint and flow passes name the env APIs they police
+        if not rel.startswith(("checks/lint/", "checks/flow/")) \
+                and re.search(r"os\.environ|getenv", text):
+            readers.append(rel)
+    assert readers == ["harness/config.py"]
+    assert names == {"REPRO_RESULT_STORE", "REPRO_TRACE_CACHE",
+                     "REPRO_RSS_BUDGET_MB", "REPRO_DISK_FLOOR_MB"}
 
 
 COLD_START = textwrap.dedent("""

@@ -18,7 +18,7 @@ from repro.sim.system import System
 
 
 def _run_sampled(policy="care", interval=2_000, n=1200, n_cores=1,
-                 sanitize=None):
+                 sanitize=False):
     cfg = SystemConfig.tiny(n_cores)
     traces = [build_trace(n=n, seed=s, name=f"t{s}").records
               for s in range(n_cores)]
@@ -87,7 +87,7 @@ def test_sampling_never_perturbs_results():
 
 def test_sampler_composes_with_sanitizer():
     system, result = _run_sampled(sanitize=True)
-    plain_sys, plain = _run_sampled(sanitize=None)
+    plain_sys, plain = _run_sampled()
     assert (json.dumps(result.to_dict(), sort_keys=True)
             == json.dumps(plain.to_dict(), sort_keys=True))
     # Both observers detached cleanly after the run.

@@ -2,14 +2,15 @@
 fallback, chaos preempt equivalence on every execution path, manifest
 lineage + persistence strikes, and resource guards."""
 
-import json
 import os
 import signal
 
 import pytest
 
+from repro.checks.chaos import inject_execute, parse_chaos
 from repro.harness import ExperimentSpec, ResultStore, run_many
 from repro.harness import preempt
+from repro.harness.config import RunConfig
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import (code_fingerprint, reset_default_store,
                                  set_default_store)
@@ -20,15 +21,9 @@ from repro.harness.turbo import shutdown_shared_pool
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
-CKPT_VARS = ("REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS", "REPRO_CKPT_SECS",
-             "REPRO_RSS_BUDGET_MB", "REPRO_DISK_FLOOR_MB",
-             "REPRO_PREEMPT_GRACE")
-
 
 @pytest.fixture(autouse=True)
-def isolated(tmp_path, monkeypatch):
-    for var in CKPT_VARS + ("REPRO_CHAOS", "REPRO_TIMEOUT"):
-        monkeypatch.delenv(var, raising=False)
+def isolated(tmp_path):
     preempt.clear_preempt()
     clear_memo()
     store = ResultStore(tmp_path / "store")
@@ -45,53 +40,38 @@ def specs_for(workloads, n_records=300):
             for w in workloads]
 
 
-def enable_ckpt(monkeypatch, tmp_path, events="1000"):
-    root = tmp_path / "ckpt"
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(root))
-    if events:
-        monkeypatch.setenv("REPRO_CKPT_EVENTS", events)
-    return root
+def ckpt_config(tmp_path, events=1000, chaos=None):
+    """A run configuration checkpointing into ``tmp_path/ckpt``."""
+    return RunConfig(
+        checkpoint=preempt.CheckpointConfig(dir=str(tmp_path / "ckpt"),
+                                            every_events=events),
+        chaos=parse_chaos(chaos) if chaos else None)
 
 
 # ----------------------------------------------------------------------
 # Configuration parsing
 # ----------------------------------------------------------------------
-def test_checkpoint_from_env_requires_dir():
-    assert preempt.checkpoint_from_env({}) is None
-    assert preempt.checkpoint_from_env({"REPRO_CKPT_DIR": "  "}) is None
-    cfg = preempt.checkpoint_from_env({"REPRO_CKPT_DIR": "/tmp/c"})
-    assert cfg.dir == "/tmp/c"
-    assert cfg.every_events is None and cfg.every_secs is None
-
-
-def test_checkpoint_from_env_parses_cadence_leniently():
-    cfg = preempt.checkpoint_from_env({
-        "REPRO_CKPT_DIR": "/tmp/c", "REPRO_CKPT_EVENTS": "5000",
-        "REPRO_CKPT_SECS": "2.5"})
-    assert cfg.every_events == 5000 and cfg.every_secs == 2.5
-    cfg = preempt.checkpoint_from_env({
-        "REPRO_CKPT_DIR": "/tmp/c", "REPRO_CKPT_EVENTS": "junk",
-        "REPRO_CKPT_SECS": "-1"})
-    assert cfg.every_events is None and cfg.every_secs is None
-    # events floor at 1; a bare dir still ticks at the default interval
-    cfg = preempt.checkpoint_from_env({
-        "REPRO_CKPT_DIR": "/tmp/c", "REPRO_CKPT_EVENTS": "0"})
-    policy = preempt.CheckpointPolicy.for_spec(cfg, "k" * 64, "f" * 64)
-    assert policy.tick_interval == 1
-
-
-def test_grace_and_guard_parsing():
-    assert preempt.preempt_grace({}) == preempt.DEFAULT_GRACE_SECS
-    assert preempt.preempt_grace({"REPRO_PREEMPT_GRACE": "2.5"}) == 2.5
-    assert preempt.preempt_grace(
-        {"REPRO_PREEMPT_GRACE": "nope"}) == preempt.DEFAULT_GRACE_SECS
-    assert not preempt.guards_from_env({}).enabled
-    guards = preempt.guards_from_env({"REPRO_RSS_BUDGET_MB": "512",
-                                      "REPRO_DISK_FLOOR_MB": "100"})
+def test_grace_and_guard_parsing(monkeypatch, caplog):
+    """The guards are the environment's to set; the preempt grace is a
+    constant, and ``REPRO_PREEMPT_GRACE`` only draws a warning."""
+    from repro.harness import config
+    monkeypatch.setattr(config, "_WARNED", set())
+    monkeypatch.delenv("REPRO_RSS_BUDGET_MB", raising=False)
+    monkeypatch.delenv("REPRO_DISK_FLOOR_MB", raising=False)
+    assert not RunConfig.from_env().guards.enabled
+    assert not RunConfig().guards.enabled
+    monkeypatch.setenv("REPRO_RSS_BUDGET_MB", "512")
+    monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "100")
+    guards = RunConfig.from_env().guards
     assert guards.enabled
     assert guards.rss_budget_mb == 512 and guards.disk_floor_mb == 100
-    assert not preempt.guards_from_env(
-        {"REPRO_RSS_BUDGET_MB": "-5"}).enabled
+    monkeypatch.setenv("REPRO_RSS_BUDGET_MB", "-5")
+    monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "nope")
+    assert not RunConfig.from_env().guards.enabled
+    monkeypatch.setenv("REPRO_PREEMPT_GRACE", "2.5")
+    RunConfig.from_env()
+    assert any(r.getMessage().startswith("ignoring REPRO_PREEMPT_GRACE:")
+               for r in caplog.records)
 
 
 def test_state_path_is_sharded():
@@ -120,7 +100,7 @@ def test_resource_probes_report_plausible_values(tmp_path):
 # ----------------------------------------------------------------------
 def test_cadence_writes_states_and_completion_clears_them(
         tmp_path, monkeypatch):
-    root = enable_ckpt(monkeypatch, tmp_path)
+    config = ckpt_config(tmp_path)
     spec = specs_for(WORKLOADS[:1])[0]
     seen = []
     original = preempt.save_state
@@ -130,58 +110,52 @@ def test_cadence_writes_states_and_completion_clears_them(
         return original(policy)
 
     monkeypatch.setattr(preempt, "save_state", spy)
-    clean = spec.execute()
+    clean = spec.execute(config)
     assert seen and seen == sorted(seen)         # periodic saves happened
     assert all(n % 1000 == 0 for n in seen)      # at watcher boundaries
     # ...and the completed run cleaned its state up
-    assert not preempt.state_path(root, spec.key()).exists()
+    assert not preempt.state_path(tmp_path / "ckpt", spec.key()).exists()
     # a checkpointed run is byte-identical to an unobserved one
-    for var in ("REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS"):
-        monkeypatch.delenv(var)
-    assert spec.execute().to_json() == clean.to_json()
+    assert spec.execute(RunConfig()).to_json() == clean.to_json()
 
 
-def test_preempt_then_reexecute_resumes(tmp_path, monkeypatch):
-    enable_ckpt(monkeypatch, tmp_path)
+def test_preempt_then_reexecute_resumes(tmp_path):
+    config = ckpt_config(tmp_path)
     spec = specs_for(WORKLOADS[:1])[0]
     preempt.request_preempt()
     with pytest.raises(preempt.PreemptedError) as excinfo:
-        spec.execute()
+        spec.execute(config)
     assert excinfo.value.events == 1000
     notes = {}
-    resumed = spec.execute(notes=notes)
+    resumed = spec.execute(config, notes=notes)
     assert notes == {"resumed": 1000}
-    for var in ("REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS"):
-        monkeypatch.delenv(var)
-    assert resumed.to_json() == spec.execute().to_json()
+    assert resumed.to_json() == spec.execute(RunConfig()).to_json()
 
 
-def test_corrupt_state_quarantines_and_cold_starts(tmp_path, monkeypatch):
-    root = enable_ckpt(monkeypatch, tmp_path)
+def test_corrupt_state_quarantines_and_cold_starts(tmp_path):
+    config = ckpt_config(tmp_path)
     spec = specs_for(WORKLOADS[:1])[0]
     preempt.request_preempt()
     with pytest.raises(preempt.PreemptedError):
-        spec.execute()
-    path = preempt.state_path(root, spec.key())
+        spec.execute(config)
+    path = preempt.state_path(tmp_path / "ckpt", spec.key())
     path.write_bytes(path.read_bytes()[:100])            # torn write
     notes = {}
-    result = spec.execute(notes=notes)
+    result = spec.execute(config, notes=notes)
     assert "CorruptSavestate" in notes["quarantined"]
     assert "resumed" not in notes                        # cold start
     assert (path.parent / "quarantine" / path.name).is_file()
-    for var in ("REPRO_CKPT_DIR", "REPRO_CKPT_EVENTS"):
-        monkeypatch.delenv(var)
-    assert result.to_json() == spec.execute().to_json()  # never wrong
+    assert result.to_json() == spec.execute(RunConfig()).to_json()
 
 
-def test_stale_state_quarantines_and_cold_starts(tmp_path, monkeypatch):
+def test_stale_state_quarantines_and_cold_starts(tmp_path):
     from repro.sim.savestate import encode_savestate
-    root = enable_ckpt(monkeypatch, tmp_path)
+    config = ckpt_config(tmp_path)
     spec = specs_for(WORKLOADS[:1])[0]
     preempt.request_preempt()
     with pytest.raises(preempt.PreemptedError):
-        spec.execute()
-    path = preempt.state_path(root, spec.key())
+        spec.execute(config)
+    path = preempt.state_path(tmp_path / "ckpt", spec.key())
     # re-sign the valid state with a foreign code fingerprint
     from repro.sim.savestate import decode_savestate
     system = decode_savestate(path.read_bytes(), spec_key=spec.key(),
@@ -189,7 +163,7 @@ def test_stale_state_quarantines_and_cold_starts(tmp_path, monkeypatch):
     path.write_bytes(encode_savestate(system, spec_key=spec.key(),
                                       fingerprint="f" * 64))
     notes = {}
-    spec.execute(notes=notes)
+    spec.execute(config, notes=notes)
     assert "StaleSavestate" in notes["quarantined"]
     assert (path.parent / "quarantine" / path.name).is_file()
 
@@ -197,61 +171,84 @@ def test_stale_state_quarantines_and_cold_starts(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Chaos preempt: every execution path converges to fault-free results
 # ----------------------------------------------------------------------
-def test_chaos_preempt_noops_without_checkpointing(monkeypatch):
-    monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
-    assert not preempt.chaos_preempt()
+def test_chaos_preempt_noops_without_checkpointing():
+    cfg = parse_chaos("preempt:7:1/1")
+    inject_execute(cfg, "k" * 64, 0, disruptive_ok=False)
     assert not preempt.preempt_requested()
-    monkeypatch.setenv("REPRO_CKPT_DIR", "/tmp/ckpt")
-    assert preempt.chaos_preempt()
+    inject_execute(cfg, "k" * 64, 0, disruptive_ok=False,
+                   checkpointing=True)
     assert preempt.preempt_requested()
     preempt.clear_preempt()
 
 
-def test_serial_sweep_preempted_points_resume_identically(
-        tmp_path, monkeypatch):
+def test_serial_sweep_preempted_points_resume_identically(tmp_path):
     specs = specs_for(WORKLOADS)
     clean = run_many(specs, workers=1, store=None)
     clear_memo()
-    enable_ckpt(monkeypatch, tmp_path)
-    monkeypatch.setenv("REPRO_CHAOS", "preempt:7:1/1")
     stats = SweepStats()
     results = run_many(specs, workers=1, store=None, stats_out=stats,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=ckpt_config(tmp_path, chaos="preempt:7:1/1"))
     assert stats.retried == len(specs)        # every point was preempted
     assert stats.failed == 0
     assert [r.to_json() for r in results] == [r.to_json() for r in clean]
 
 
-def test_pool_sweep_preempted_points_resume_identically(
-        tmp_path, monkeypatch):
+def test_pool_sweep_preempted_points_resume_identically(tmp_path):
     specs = specs_for(WORKLOADS)
     clean = run_many(specs, workers=1, store=None)
     clear_memo()
-    root = enable_ckpt(monkeypatch, tmp_path)
-    monkeypatch.setenv("REPRO_CHAOS", "preempt:7:1/1")
     stats = SweepStats()
     results = run_many(specs, workers=2, store=None, stats_out=stats,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=ckpt_config(tmp_path, chaos="preempt:7:1/1"))
     assert stats.failed == 0
     assert [r.to_json() for r in results] == [r.to_json() for r in clean]
     # resumed points completed and removed their save-states
-    leftovers = list(root.rglob("*.ckpt.gz"))
+    leftovers = list((tmp_path / "ckpt").rglob("*.ckpt.gz"))
     assert not leftovers
 
 
-def test_ckpt_corrupt_chaos_degrades_to_cold_restart(tmp_path, monkeypatch):
+def test_ckpt_corrupt_chaos_degrades_to_cold_restart(tmp_path):
     """A torn save-state may cost time, never correctness: preempted
     points whose states are chaos-truncated quarantine and cold-start."""
     specs = specs_for(WORKLOADS)
     clean = run_many(specs, workers=1, store=None)
     clear_memo()
-    root = enable_ckpt(monkeypatch, tmp_path)
-    monkeypatch.setenv("REPRO_CHAOS", "preempt,ckpt-corrupt:7:1/1")
     results = run_many(specs, workers=1, store=None,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=ckpt_config(tmp_path,
+                                          chaos="preempt,ckpt-corrupt:7:1/1"))
     assert [r.to_json() for r in results] == [r.to_json() for r in clean]
-    quarantined = list(root.rglob("quarantine/*"))
+    quarantined = list((tmp_path / "ckpt").rglob("quarantine/*"))
     assert quarantined                        # the torn states moved aside
+
+
+def test_pool_guard_breach_preempts_busy_workers(tmp_path, monkeypatch):
+    """The pool's resource-guard loop: a disk-free floor above the free
+    space preempts every busy worker; without checkpointing and with one
+    attempt, each point fails as ``preempted``, names the floor, and
+    leaves a ``guard`` incident.  Chaos ``hang`` keeps the workers busy,
+    so the check cannot race a point's completion."""
+    from repro.obs.incidents import IncidentLog
+    monkeypatch.chdir(tmp_path)         # no ckpt dir: the guard checks "."
+    floor = preempt.disk_free_mb(tmp_path) * 2 + 1024
+    config = RunConfig(chaos=parse_chaos("hang:3:1/1"),
+                       guards=preempt.ResourceGuards(disk_floor_mb=floor))
+    specs = specs_for(WORKLOADS[:2])
+    incidents = IncidentLog(tag="guard")
+    with supervised_sweep(retry=RetryPolicy(max_attempts=1),
+                          incidents=incidents) as sup:
+        results = run_many(specs, workers=2, store=None, config=config)
+    assert results == [None, None]
+    assert sorted(f.spec.key() for f in sup.failures) == \
+        sorted(s.key() for s in specs)
+    for failure in sup.failures:
+        assert failure.kind == "preempted"
+        assert f"under the {floor:.0f} MiB floor" in failure.message
+    guard = [e for e in incidents.events if e["event"] == "guard"]
+    assert len(guard) == len(specs)
+    assert all("floor" in e["reason"] for e in guard)
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,7 @@ import pytest
 from repro.checks.sanitize import (ALL_INVARIANTS, SAN_INCL, SAN_MSHR,
                                    SAN_PMC, SAN_TAG, SAN_TIME, SAN_WAITER,
                                    Sanitizer, SanitizerError,
-                                   attach_sanitizer, sanitize_enabled,
-                                   sanitize_interval)
+                                   DEFAULT_INTERVAL, attach_sanitizer)
 from repro.sim import System, SystemConfig
 from repro.sim.mshr import MSHREntry
 from repro.sim.request import AccessType, MemRequest
@@ -291,13 +290,17 @@ def test_sanitized_run_is_byte_identical(small_trace, machine):
     assert sanitized_system.engine.watcher is None
 
 
-def test_env_switches(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    monkeypatch.delenv("REPRO_SANITIZE_INTERVAL", raising=False)
-    assert not sanitize_enabled()
+def test_env_switches(monkeypatch, small_trace):
+    """The environment no longer switches the sanitizer: ``System`` is
+    unsanitized unless ``sanitize=True`` is passed, which sweeps every
+    4096 events whatever ``REPRO_SANITIZE_INTERVAL`` says."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert sanitize_enabled()
     monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "128")
-    assert sanitize_interval() == 128
-    monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "bogus")
-    assert sanitize_interval() == 4096
+    cfg = SystemConfig.tiny(1)
+    plain = System(cfg, [small_trace.records], llc_policy="lru")
+    plain.run()
+    assert plain.sanitizer is None
+    sanitized = System(cfg, [small_trace.records], llc_policy="lru",
+                       sanitize=True)
+    sanitized.run()
+    assert sanitized.sanitizer.interval == DEFAULT_INTERVAL == 4096

@@ -14,6 +14,7 @@ import pytest
 
 from repro.harness import ExperimentSpec
 from repro.harness import preempt
+from repro.harness.config import RunConfig
 from repro.harness.store import code_fingerprint
 from repro.sim.savestate import (SAVESTATE_SCHEMA, CorruptSavestate,
                                  StaleSavestate, decode_savestate,
@@ -21,11 +22,7 @@ from repro.sim.savestate import (SAVESTATE_SCHEMA, CorruptSavestate,
 
 
 @pytest.fixture(autouse=True)
-def clean_latch(monkeypatch):
-    monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CKPT_EVENTS", raising=False)
-    monkeypatch.delenv("REPRO_CKPT_SECS", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+def clean_latch():
     preempt.clear_preempt()
     yield
     preempt.clear_preempt()
@@ -35,13 +32,13 @@ def a_spec():
     return ExperimentSpec.single("462.libquantum", "lru", n_records=300)
 
 
-def make_blob(tmp_path, monkeypatch, spec):
+def make_blob(tmp_path, spec):
     """A real mid-run save-state: force a preempt at the first tick."""
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
-    monkeypatch.setenv("REPRO_CKPT_EVENTS", "1000")
+    config = RunConfig(checkpoint=preempt.CheckpointConfig(
+        dir=str(tmp_path / "ckpt"), every_events=1000))
     preempt.request_preempt()
     with pytest.raises(preempt.PreemptedError) as excinfo:
-        spec.execute()
+        spec.execute(config)
     assert excinfo.value.path is not None
     return open(excinfo.value.path, "rb").read()
 
@@ -59,9 +56,9 @@ def tamper(blob, **header_changes):
 # ----------------------------------------------------------------------
 # Header
 # ----------------------------------------------------------------------
-def test_header_is_readable_without_unpickling(tmp_path, monkeypatch):
+def test_header_is_readable_without_unpickling(tmp_path):
     spec = a_spec()
-    blob = make_blob(tmp_path, monkeypatch, spec)
+    blob = make_blob(tmp_path, spec)
     header = read_savestate_header(blob)
     assert header["schema"] == SAVESTATE_SCHEMA
     assert header["spec_key"] == spec.key()
@@ -73,10 +70,10 @@ def test_header_is_readable_without_unpickling(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Round trip: restore-then-run == uninterrupted run
 # ----------------------------------------------------------------------
-def test_decode_resumes_byte_identical(tmp_path, monkeypatch):
+def test_decode_resumes_byte_identical(tmp_path):
     spec = a_spec()
     clean = spec.execute()
-    blob = make_blob(tmp_path, monkeypatch, spec)
+    blob = make_blob(tmp_path, spec)
     system = decode_savestate(blob, spec_key=spec.key(),
                               fingerprint=code_fingerprint())
     assert system.engine.events_processed == 1000
@@ -87,9 +84,9 @@ def test_decode_resumes_byte_identical(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Refusal rules
 # ----------------------------------------------------------------------
-def test_decode_refuses_skew_as_stale(tmp_path, monkeypatch):
+def test_decode_refuses_skew_as_stale(tmp_path):
     spec = a_spec()
-    blob = make_blob(tmp_path, monkeypatch, spec)
+    blob = make_blob(tmp_path, spec)
     key, fp = spec.key(), code_fingerprint()
     with pytest.raises(StaleSavestate, match="schema"):
         decode_savestate(tamper(blob, schema="repro.savestate/v99"),
@@ -105,9 +102,9 @@ def test_decode_refuses_skew_as_stale(tmp_path, monkeypatch):
                          spec_key=key, fingerprint=fp)
 
 
-def test_decode_refuses_torn_blob_as_corrupt(tmp_path, monkeypatch):
+def test_decode_refuses_torn_blob_as_corrupt(tmp_path):
     spec = a_spec()
-    blob = make_blob(tmp_path, monkeypatch, spec)
+    blob = make_blob(tmp_path, spec)
     key, fp = spec.key(), code_fingerprint()
     with pytest.raises(CorruptSavestate, match="gzip"):
         decode_savestate(blob[:len(blob) // 2], spec_key=key, fingerprint=fp)
@@ -123,7 +120,7 @@ def test_decode_refuses_torn_blob_as_corrupt(tmp_path, monkeypatch):
                          spec_key=key, fingerprint=fp)
 
 
-def test_encoding_a_machine_is_deterministic(tmp_path, monkeypatch):
+def test_encoding_a_machine_is_deterministic(tmp_path):
     """Encoding one machine twice yields identical bytes: mtime=0 gzip
     framing plus a stable header mean the blob is a function of the
     in-memory state, with no wall-clock smuggled in.  (Two *separate*
@@ -132,7 +129,7 @@ def test_encoding_a_machine_is_deterministic(tmp_path, monkeypatch):
     the pinned invariant is result equality, above.)"""
     from repro.sim.savestate import encode_savestate
     spec = a_spec()
-    blob = make_blob(tmp_path, monkeypatch, spec)
+    blob = make_blob(tmp_path, spec)
     system = decode_savestate(blob, spec_key=spec.key(),
                               fingerprint=code_fingerprint())
     first = encode_savestate(system, spec_key=spec.key(),

@@ -12,8 +12,7 @@ from repro.harness.store import reset_default_store, set_default_store
 
 
 @pytest.fixture(autouse=True)
-def isolated(monkeypatch):
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+def isolated():
     clear_memo()
     yield
     clear_memo()
@@ -170,13 +169,15 @@ def test_fsck_manifests_quarantines_semantic_damage(tmp_path, spec):
     assert "future.manifest.json.1" in qnames
 
 
-def test_chaos_corrupt_hook_on_put(tmp_path, spec, monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "corrupt:1:1/1")
+def test_chaos_corrupt_hook_on_put(tmp_path, spec):
+    from repro.checks.chaos import parse_chaos
+    from repro.harness import run
+    from repro.harness.config import RunConfig
     store = ResultStore(tmp_path / "store")
-    store.put(spec, spec.execute())
+    run(spec, store=store,
+        config=RunConfig(chaos=parse_chaos("corrupt:1:1/1")))
     path = entry_path(store, spec)
     with pytest.raises(ValueError):
         json.loads(path.read_text())            # write was truncated
-    monkeypatch.delenv("REPRO_CHAOS")
     assert store.get(spec) is None              # hardened get quarantines
     assert store.fsck().scanned == 0

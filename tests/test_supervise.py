@@ -7,7 +7,9 @@ import signal
 
 import pytest
 
+from repro.checks.chaos import parse_chaos
 from repro.harness import ExperimentSpec, ResultStore, run_many
+from repro.harness.config import RunConfig
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import reset_default_store, set_default_store
 from repro.harness.supervise import (CRASH_ERROR, TIMEOUT_ERROR,
@@ -22,10 +24,7 @@ WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
 
 @pytest.fixture(autouse=True)
-def isolated(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_TIMEOUT", raising=False)
-    monkeypatch.delenv("REPRO_RETRIES", raising=False)
+def isolated(tmp_path):
     clear_memo()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
@@ -38,6 +37,11 @@ def isolated(tmp_path, monkeypatch):
 def specs_for(workloads, n_records=300):
     return [ExperimentSpec.single(w, "lru", n_records=n_records)
             for w in workloads]
+
+
+def chaos(profile):
+    """A run configuration with chaos ``profile`` on."""
+    return RunConfig(chaos=parse_chaos(profile))
 
 
 def a_failure(spec, kind="error", error="ValueError", permanent=True):
@@ -85,23 +89,14 @@ def test_retry_policy_delay_is_deterministic_and_bounded():
         RetryPolicy(max_attempts=0)
 
 
-def test_retry_policy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRIES", "5")
-    assert RetryPolicy.from_env().max_attempts == 5
-    monkeypatch.setenv("REPRO_RETRIES", "junk")
-    assert RetryPolicy.from_env().max_attempts == 3    # default, warned
-
-
 def test_compute_timeout_precedence(monkeypatch):
     spec = specs_for(WORKLOADS[:1], n_records=300)[0]
     scaled = compute_timeout(spec)
     assert scaled is not None and scaled > 120.0      # base + work term
     big = specs_for(WORKLOADS[:1], n_records=30000)[0]
     assert compute_timeout(big) > scaled              # scales with size
-    monkeypatch.setenv("REPRO_TIMEOUT", "7.5")
-    assert compute_timeout(spec) == 7.5
-    monkeypatch.setenv("REPRO_TIMEOUT", "0")
-    assert compute_timeout(spec) is None              # watchdog off
+    monkeypatch.setenv("REPRO_TIMEOUT", "7.5")        # retired: ignored
+    assert compute_timeout(spec) == scaled
     assert compute_timeout(spec, override=3.0) == 3.0
     assert compute_timeout(spec, override=0) is None
 
@@ -166,33 +161,30 @@ def test_supervised_sweep_installs_and_restores():
     assert active_supervisor() is None
 
 
-def test_run_many_leaves_none_holes_under_supervisor(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "raise:7:1/1")
+def test_run_many_leaves_none_holes_under_supervisor():
     specs = specs_for(WORKLOADS)
     with supervised_sweep(retry=RetryPolicy(backoff=0.01)) as sup:
-        results = run_many(specs, workers=1)
+        results = run_many(specs, workers=1, config=chaos("raise:7:1/1"))
     assert results == [None] * len(specs)
     assert len(sup.failures) == len(specs)
     assert all(f.error == "ChaosError" for f in sup.failures)
 
 
-def test_run_many_fail_fast_aborts_early(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "raise:7:1/1")
+def test_run_many_fail_fast_aborts_early():
     specs = specs_for(WORKLOADS)
     with supervised_sweep(keep_going=False,
                           retry=RetryPolicy(backoff=0.01)):
         with pytest.raises(SweepFailedError) as excinfo:
-            run_many(specs, workers=1)
+            run_many(specs, workers=1, config=chaos("raise:7:1/1"))
     assert len(excinfo.value.failures) == 1   # stopped at the first
 
 
-def test_run_many_checkpoints_manifest(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "raise:11:1/2")
+def test_run_many_checkpoints_manifest(tmp_path):
     specs = specs_for(WORKLOADS)
     path = tmp_path / "m.json"
     with supervised_sweep(manifest=SweepManifest(path),
                           retry=RetryPolicy(backoff=0.01)) as sup:
-        run_many(specs, workers=1)
+        run_many(specs, workers=1, config=chaos("raise:11:1/2"))
     assert path.is_file()
     loaded = SweepManifest.load(path)
     counts = loaded.counts()
@@ -250,38 +242,36 @@ def test_sigint_mid_sweep_without_manifest_reports_pending(isolated):
 # ----------------------------------------------------------------------
 # Worker pool: watchdog and crash recovery
 # ----------------------------------------------------------------------
-def test_pool_watchdog_kills_hung_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "hang:5:1/1")
-    monkeypatch.setenv("REPRO_TIMEOUT", "2")
+def test_pool_watchdog_kills_hung_workers():
     specs = specs_for(WORKLOADS[:2])
     stats = SweepStats()
     results = run_many(specs, workers=2, stats_out=stats,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       timeout=2, config=chaos("hang:5:1/1"))
     assert all(r is not None for r in results)
     assert stats.timeouts == len(specs)     # every point hung once
     assert stats.failed == 0
     assert stats.fell_back_serial or stats.pool_used
 
 
-def test_pool_recovers_crashed_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "kill:5:1/1")
+def test_pool_recovers_crashed_workers():
     specs = specs_for(WORKLOADS[:2])
     stats = SweepStats()
     results = run_many(specs, workers=2, stats_out=stats,
-                       retry=RetryPolicy(max_attempts=3, backoff=0.01))
+                       retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                       config=chaos("kill:5:1/1"))
     assert all(r is not None for r in results)
     assert stats.crashes == len(specs)      # every worker died once
     assert stats.failed == 0
 
 
-def test_pool_results_match_serial_under_chaos(isolated, monkeypatch):
+def test_pool_results_match_serial_under_chaos(isolated):
     """Chaos only perturbs scheduling, never results: a pool sweep under
     kill/flaky chaos is byte-identical to a clean serial sweep."""
     specs = specs_for(WORKLOADS)
-    monkeypatch.setenv("REPRO_CHAOS", "kill,flaky:9:1/2")
     via_pool = run_many(specs, workers=2, store=None,
-                        retry=RetryPolicy(max_attempts=3, backoff=0.01))
-    monkeypatch.delenv("REPRO_CHAOS")
+                        retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                        config=chaos("kill,flaky:9:1/2"))
     clear_memo()
     serial = run_many(specs, workers=1, store=None)
     assert [r.to_json() for r in via_pool] == \

@@ -1,6 +1,6 @@
 """The content-addressed trace cache (PR 7): keying, round-trip
 byte-identity, memo/disk hit accounting, corruption quarantine + fsck,
-the representability guard, and the env-keyed process default."""
+the representability guard, and the per-directory process default."""
 
 import gzip
 
@@ -8,8 +8,9 @@ import pytest
 
 from repro.workloads import spec_trace
 from repro.workloads.gap import gap_trace
-from repro.workloads.tracecache import (ENV_VAR, MAX_GAP, TraceCache,
-                                        cached_trace, default_trace_cache,
+from repro.harness.config import TRACE_CACHE_ENV as ENV_VAR
+from repro.workloads.tracecache import (MAX_GAP, TraceCache, cached_trace,
+                                        default_trace_cache,
                                         reset_default_trace_cache,
                                         set_default_trace_cache, trace_key,
                                         workloads_fingerprint)
@@ -137,7 +138,7 @@ def test_unrepresentable_trace_is_served_but_not_cached(cache):
 
 
 # ----------------------------------------------------------------------
-# The env-keyed process default
+# The per-directory process default
 # ----------------------------------------------------------------------
 def test_default_cache_disabled_values(monkeypatch):
     for value in ("", "0", "off", "none", "disabled", "OFF"):
@@ -146,8 +147,9 @@ def test_default_cache_disabled_values(monkeypatch):
 
 
 def test_default_cache_tracks_env_changes(tmp_path, monkeypatch):
-    """Persistent workers apply per-task env snapshots: the default must
-    re-resolve when REPRO_TRACE_CACHE changes, without a process restart."""
+    """Library callers (simbench) point REPRO_TRACE_CACHE elsewhere
+    mid-process: the default must follow it at each call, keeping one
+    cache (and its memo) while the directory is unchanged."""
     monkeypatch.setenv(ENV_VAR, str(tmp_path / "a"))
     first = default_trace_cache()
     assert first is not None and first.root == tmp_path / "a"
@@ -157,6 +159,22 @@ def test_default_cache_tracks_env_changes(tmp_path, monkeypatch):
     assert second is not None and second.root == tmp_path / "b"
     monkeypatch.setenv(ENV_VAR, "off")
     assert default_trace_cache() is None
+
+
+def test_trace_cache_for_keeps_one_cache_per_directory(tmp_path):
+    """A warm worker keeps its memo while tasks name the same directory
+    and chaos profile; any other setting gets a fresh cache."""
+    from repro.checks.chaos import parse_chaos
+    from repro.workloads.tracecache import trace_cache_for
+    assert trace_cache_for(None) is None
+    first = trace_cache_for(str(tmp_path / "a"))
+    assert first.root == tmp_path / "a" and first.namespace.is_dir()
+    assert trace_cache_for(str(tmp_path / "a")) is first
+    chaotic = trace_cache_for(str(tmp_path / "a"),
+                              chaos=parse_chaos("corrupt:1"))
+    assert chaotic is not first and chaotic.chaos is not None
+    other = trace_cache_for(str(tmp_path / "b"))
+    assert other is not first and other.chaos is None
 
 
 def test_set_default_overrides_env_until_reset(tmp_path, monkeypatch):

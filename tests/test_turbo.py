@@ -1,24 +1,24 @@
-"""The warm worker pool: env-snapshot shipping, worker reuse across
-sweeps, and the CLI's stdout/stderr purity when the store misbehaves."""
+"""The warm worker pool: run configs shipped in task messages, worker
+reuse across sweeps, and the CLI's stdout/stderr purity when the store
+misbehaves."""
 
 import json
 
 import pytest
 
+from repro.checks.chaos import parse_chaos
 from repro.harness import ExperimentSpec, ResultStore, run_many
+from repro.harness.config import RunConfig
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import reset_default_store, set_default_store
 from repro.harness import turbo
-from repro.harness.turbo import (shared_pool, shutdown_shared_pool,
-                                 worker_env_snapshot, _apply_env)
+from repro.harness.turbo import shared_pool, shutdown_shared_pool
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
 
 
 @pytest.fixture(autouse=True)
-def isolated(tmp_path, monkeypatch):
-    for var in ("REPRO_CHAOS", "REPRO_TIMEOUT", "REPRO_TRACE_CACHE"):
-        monkeypatch.delenv(var, raising=False)
+def isolated(tmp_path):
     clear_memo()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
@@ -34,24 +34,32 @@ def specs_for(workloads, n_records=300):
 
 
 # ----------------------------------------------------------------------
-# Env snapshots
+# Run configs travel in the task message
 # ----------------------------------------------------------------------
-def test_worker_env_snapshot_only_repro_vars(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    monkeypatch.setenv("PATH_LIKE_NOISE", "ignored")
-    snap = worker_env_snapshot()
-    assert snap["REPRO_SANITIZE"] == "1"
-    assert all(k.startswith("REPRO_") for k in snap)
+def test_config_change_reaches_warm_workers(tmp_path):
+    """Two ``run_many`` calls on one warm pool: each point runs under its
+    own call's config, never a previous task's.  Chaos ``corrupt`` on ->
+    off, and trace-cache directory A -> B, on the same worker processes
+    (workers write the trace cache, the parent writes the store)."""
+    from repro.workloads.tracecache import TraceCache
+    specs = specs_for(WORKLOADS[:2])
+    dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
+    torn = ResultStore(tmp_path / "torn")
+    run_many(specs, workers=2, store=torn,
+             config=RunConfig(chaos=parse_chaos("corrupt:1:1/1"),
+                              trace_cache=dir_a))
+    pids = sorted(w.proc.pid for w in turbo._SHARED._workers)
+    assert len(torn.fsck().quarantined) == len(specs)
+    assert len(TraceCache(dir_a).fsck().quarantined) == len(specs)
 
-
-def test_apply_env_mirrors_snapshot_exactly(monkeypatch):
-    monkeypatch.setenv("REPRO_STALE", "from-fork-time")
-    monkeypatch.setenv("REPRO_SANITIZE", "0")
-    _apply_env({"REPRO_SANITIZE": "1", "REPRO_CHAOS": "flaky:3"})
-    import os
-    assert "REPRO_STALE" not in os.environ       # deleted: not in snapshot
-    assert os.environ["REPRO_SANITIZE"] == "1"
-    assert os.environ["REPRO_CHAOS"] == "flaky:3"
+    clear_memo()
+    clean = ResultStore(tmp_path / "clean")
+    run_many(specs, workers=2, store=clean,
+             config=RunConfig(trace_cache=dir_b))
+    assert sorted(w.proc.pid for w in turbo._SHARED._workers) == pids
+    assert clean.fsck().ok == len(specs)               # chaos is off
+    assert TraceCache(dir_b).fsck().ok == len(specs)   # traces land in B
+    assert TraceCache(dir_a).fsck().scanned == 0       # A untouched
 
 
 # ----------------------------------------------------------------------
