@@ -48,9 +48,59 @@ def ckpt_config(tmp_path, events=1000, chaos=None):
         chaos=parse_chaos(chaos) if chaos else None)
 
 
+def flag_checkpoint(*flags):
+    """The CheckpointConfig that ``run --obs-dir o <flags>`` builds."""
+    from repro.__main__ import _run_config, build_parser
+    return _run_config(build_parser().parse_args(
+        ["run", "429.mcf", "--obs-dir", "o", *flags])).checkpoint
+
+
 # ----------------------------------------------------------------------
 # Configuration parsing
 # ----------------------------------------------------------------------
+def test_checkpoint_from_env_requires_dir(monkeypatch, caplog):
+    """Checkpointing is off unless ``--checkpoint`` asks for it; the
+    retired ``REPRO_CKPT_DIR`` only draws a warning.  The flag puts the
+    states under ``<obs-dir>/ckpt`` and, with no cadence, writes them on
+    preemption only."""
+    from repro.harness import config
+    monkeypatch.setattr(config, "_WARNED", set())
+    monkeypatch.setenv("REPRO_CKPT_DIR", "/tmp/c")
+    assert RunConfig.from_env().checkpoint is None
+    assert any(r.getMessage().startswith("ignoring REPRO_CKPT_DIR:")
+               for r in caplog.records)
+    assert RunConfig().checkpoint is None
+    assert flag_checkpoint() is None
+    cfg = flag_checkpoint("--checkpoint")
+    assert cfg == preempt.CheckpointConfig(dir=os.path.join("o", "ckpt"))
+    assert cfg.every_events is None and cfg.every_secs is None
+    policy = preempt.CheckpointPolicy.for_spec(cfg, "k" * 64, "f" * 64)
+    assert policy.path == str(preempt.state_path(cfg.dir, "k" * 64))
+    assert policy.tick_interval == preempt.DEFAULT_TICK_EVENTS
+
+
+def test_checkpoint_from_env_parses_cadence_leniently(monkeypatch):
+    """``--checkpoint N`` / ``--checkpoint-secs S`` set the cadence;
+    non-positive values fall back to no cadence (events floor at 1), and
+    the retired ``REPRO_CKPT_EVENTS``/``_SECS`` are ignored, junk and all."""
+    ckpt = os.path.join("o", "ckpt")
+    monkeypatch.setenv("REPRO_CKPT_EVENTS", "junk")
+    monkeypatch.setenv("REPRO_CKPT_SECS", "-1")
+    assert RunConfig.from_env().checkpoint is None
+    assert flag_checkpoint("--checkpoint", "5000", "--checkpoint-secs",
+                           "2.5") == preempt.CheckpointConfig(
+                               dir=ckpt, every_events=5000, every_secs=2.5)
+    # --checkpoint-secs alone implies --checkpoint
+    assert flag_checkpoint("--checkpoint-secs", "-1") == \
+        preempt.CheckpointConfig(dir=ckpt)
+    assert flag_checkpoint("--checkpoint", "0", "--checkpoint-secs",
+                           "0") == preempt.CheckpointConfig(dir=ckpt)
+    cfg = flag_checkpoint("--checkpoint", "-3")
+    assert cfg.every_events == 1
+    policy = preempt.CheckpointPolicy.for_spec(cfg, "k" * 64, "f" * 64)
+    assert policy.tick_interval == 1
+
+
 def test_grace_and_guard_parsing(monkeypatch, caplog):
     """The guards are the environment's to set; the preempt grace is a
     constant, and ``REPRO_PREEMPT_GRACE`` only draws a warning."""
