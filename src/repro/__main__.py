@@ -198,8 +198,11 @@ def _supervision_from_args(args, tag: str):
         manifest_path = DEFAULT_MANIFEST
     if manifest_path is not None:
         from pathlib import Path
-        if resume and Path(manifest_path).exists():
-            manifest = SweepManifest.load(manifest_path)
+
+        from .durable import load
+        manifest, unreadable = (load(Path(manifest_path), SweepManifest.load)
+                                if resume else (None, None))
+        if manifest is not None:
             requeued = manifest.reset_failures()
             done = manifest.counts()["done"]
             print(f"[sweep] resuming {manifest_path}: {done} point(s) "
@@ -207,8 +210,10 @@ def _supervision_from_args(args, tag: str):
                   file=sys.stderr)
         else:
             if resume:
-                print(f"[sweep] no manifest at {manifest_path}; starting "
-                      "fresh", file=sys.stderr)
+                why = (f"quarantined the unreadable manifest "
+                       f"{manifest_path} ({unreadable})" if unreadable
+                       else f"no manifest at {manifest_path}")
+                print(f"[sweep] {why}; starting fresh", file=sys.stderr)
             manifest = SweepManifest(path=manifest_path, sweep=tag)
     incidents = IncidentLog(tag=tag)
     ctx = supervised_sweep(keep_going=not args.fail_fast, retry=retry,
@@ -357,7 +362,12 @@ def _resolve_campaign(args):
     return campaign
 
 
-def _campaign_store(args):
+NO_STORE = ("error: no result store (set REPRO_RESULT_STORE or pass "
+            "--store PATH)")
+
+
+def _args_store(args):
+    """The ``--store`` result store, else the process default (or None)."""
     from .harness.store import ResultStore, default_store
     if getattr(args, "store", None):
         return ResultStore(args.store)
@@ -399,7 +409,7 @@ def _cmd_campaign(args) -> int:
         from pathlib import Path
 
         from .harness.supervise import SweepManifest
-        store = _campaign_store(args)
+        store = _args_store(args)
         manifest_counts = None
         manifest_path = args.manifest or campaign.default_manifest()
         if Path(manifest_path).exists():
@@ -414,10 +424,9 @@ def _cmd_campaign(args) -> int:
 
     if args.campaign_command == "report":
         from pathlib import Path
-        store = _campaign_store(args)
+        store = _args_store(args)
         if store is None:
-            print("error: no result store (set REPRO_RESULT_STORE or pass "
-                  "--store PATH)", file=sys.stderr)
+            print(NO_STORE, file=sys.stderr)
             return 2
         report = build_campaign_report(campaign, store,
                                        baseline=args.baseline)
@@ -448,7 +457,7 @@ def _cmd_campaign(args) -> int:
 
     def render(_results, sup) -> None:
         status = campaign_status(
-            campaign, _campaign_store(args),
+            campaign, _args_store(args),
             manifest_counts=sup.manifest.counts() if sup.manifest else None)
         print(format_status(status))
         if session_stats.sweeps:
@@ -557,17 +566,12 @@ def _cmd_perf(args) -> int:
 def _cmd_report(args) -> int:
     from pathlib import Path
 
-    from .harness.store import ResultStore, default_store
     from .obs.report import generate
 
-    if args.store:
-        store = ResultStore(args.store)
-    else:
-        store = default_store()
-        if store is None:
-            print("error: no result store (set REPRO_RESULT_STORE or pass "
-                  "--store PATH)", file=sys.stderr)
-            return 2
+    store = _args_store(args)
+    if store is None:
+        print(NO_STORE, file=sys.stderr)
+        return 2
     try:
         text = generate(store, fmt=args.format, baseline=args.baseline,
                         policies=args.policies)
@@ -597,61 +601,40 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    from .harness.store import ResultStore, default_store
-
-    if args.store:
-        store = ResultStore(args.store)
-    else:
-        store = default_store()
-        if store is None:
-            print("error: no result store (set REPRO_RESULT_STORE or pass "
-                  "--store PATH)", file=sys.stderr)
-            return 2
+    store = _args_store(args)
+    if store is None:
+        print(NO_STORE, file=sys.stderr)
+        return 2
     if args.store_command == "fsck":
-        report = store.fsck()
-        print(report.summary())
-        for line in report.errors:
-            print(f"  {line}")
-        if report.quarantined:
-            print(f"quarantined entries moved to {store.quarantine_dir}; "
-                  "re-running the sweep re-simulates them")
-        dirty = bool(report.quarantined or report.errors)
-        # The trace cache sits beside the store and corrupts the same
-        # way (torn writes, chaos); fsck covers both in one pass.
-        from .workloads.tracecache import default_trace_cache
-        cache = default_trace_cache()
-        if cache is not None and cache.namespace.is_dir():
-            trace_report = cache.fsck()
-            print(f"trace cache {trace_report.summary()}")
-            for line in trace_report.errors:
-                print(f"  {line}")
-            if trace_report.quarantined:
-                print(f"quarantined trace entries moved to "
-                      f"{cache.quarantine_dir}; traces are regenerated "
-                      "on next use")
-            dirty = dirty or bool(trace_report.quarantined
-                                  or trace_report.errors)
-        # Sweep/campaign manifests are the third artifact family that
-        # corrupts the same way; a torn ledger would crash --resume.
+        # The trace cache and sweep/campaign manifests corrupt the same
+        # way as the store (torn writes, chaos), so fsck covers all three.
         from pathlib import Path
 
         from .harness.supervise import fsck_manifests
-        manifest_paths = list(getattr(args, "manifests", None) or [])
-        if not manifest_paths:
-            manifest_paths = sorted(
-                str(p) for p in Path(".").glob("*.manifest.json"))
-        if manifest_paths:
-            m_report = fsck_manifests(manifest_paths)
-            if m_report.scanned:
-                print(f"manifests {m_report.summary()}")
-                for line in m_report.errors:
-                    print(f"  {line}")
-                if m_report.quarantined:
-                    print("quarantined manifests moved aside; the next "
-                          "sweep starts a fresh ledger (done points still "
-                          "come from the store)")
-                dirty = dirty or bool(m_report.quarantined
-                                      or m_report.errors)
+        from .workloads.tracecache import default_trace_cache
+        reports = [("", store.fsck(),
+                    f"quarantined entries moved to {store.quarantine_dir}; "
+                    "re-running the sweep re-simulates them")]
+        cache = default_trace_cache()
+        if cache is not None and cache.namespace.is_dir():
+            reports.append(("trace cache ", cache.fsck(),
+                            f"quarantined trace entries moved to "
+                            f"{cache.quarantine_dir}; traces are "
+                            "regenerated on next use"))
+        manifests = fsck_manifests(args.manifests or sorted(
+            str(p) for p in Path(".").glob("*.manifest.json")))
+        if manifests.scanned:
+            reports.append(("manifests ", manifests,
+                            "quarantined manifests moved aside; the next "
+                            "sweep starts a fresh ledger (done points "
+                            "still come from the store)"))
+        for label, report, note in reports:
+            print(f"{label}{report.summary()}")
+            for line in report.errors:
+                print(f"  {line}")
+            if report.quarantined:
+                print(note)
+        dirty = any(r.quarantined or r.errors for _, r, _ in reports)
         return 1 if dirty else 0
     print(f"store root: {store.root}")
     print(f"namespace:  {store.namespace.name}")

@@ -180,19 +180,20 @@ def inject_execute(cfg: ChaosConfig, key: str, attempt: int,
         raise ChaosError(f"chaos: injected permanent fault for {key[:12]}")
 
 
-def corrupt_entry(cfg: ChaosConfig, key: str, path: "os.PathLike[str]") -> bool:
-    """Truncate a freshly written store entry if ``key`` is selected.
+def corrupt_entry(cfg: ChaosConfig, key: str, path: "os.PathLike[str]",
+                  fault: str = "corrupt") -> bool:
+    """Truncate a freshly written entry if ``fault`` selects ``key``.
 
-    Returns True when the entry was corrupted.  Truncation to half the
-    payload guarantees a JSON parse error, which is exactly what a
-    process killed mid-write (pre-atomic-rename filesystems, torn NFS
-    writes) leaves behind.
+    ``corrupt`` tears result-store and trace-cache entries,
+    ``ckpt-corrupt`` save-states.  Returns True when the entry was torn
+    (never raises).  Half the payload guarantees a decode error, which
+    is exactly what a process killed mid-write (pre-atomic-rename
+    filesystems, torn NFS writes) leaves behind.
     """
-    if not should_inject(cfg, "corrupt", key):
+    if not should_inject(cfg, fault, key):
         return False
-    data = b""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    with open(path, "wb") as handle:
-        handle.write(data[:max(1, len(data) // 2)])
+    try:
+        os.truncate(path, max(1, os.path.getsize(path) // 2))
+    except OSError:
+        return False
     return True

@@ -2,6 +2,7 @@
 result store, campaigns (the paper's figures as data), and the
 standalone cache sim."""
 
+from ..durable import FsckReport
 from .cachesim import CacheSimResult, simulate_cache
 from .campaign import (
     Campaign,
@@ -17,8 +18,8 @@ from .campaign import (
     render_campaign_markdown,
 )
 from .spec import ExperimentSpec
-from .store import (FsckReport, ResultStore, code_fingerprint,
-                    default_store, set_default_store)
+from .store import (ResultStore, code_fingerprint, default_store,
+                    set_default_store)
 from .supervise import (
     FailedResult,
     RetryPolicy,

@@ -87,7 +87,7 @@ import json
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from .spec import CONFIG_PRESETS, ExperimentSpec
@@ -853,8 +853,3 @@ def render_campaign_markdown(report: Dict[str, Any]) -> str:
                              f"| {right} | {claim['tol']:g} | "
                              f"**{claim['verdict']}** |")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def iter_failed_keys(manifest) -> Iterable[str]:
-    """Spec keys the manifest records as permanently failed."""
-    return manifest.keys_with_status("failed")

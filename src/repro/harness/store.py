@@ -5,17 +5,16 @@ Each :class:`~repro.harness.spec.ExperimentSpec` is addressed by
 fingerprint* — a hash over every ``repro`` source file.  Any edit to the
 simulator (or policies, workload generators, ...) therefore lands in a
 fresh namespace and can never serve stale results; old namespaces are
-just directories that ``prune()`` can drop.
+just directories that ``prune_stale()`` can drop.
 
 Layout::
 
     <root>/<fingerprint[:16]>/<spec-key[:2]>/<spec-key>.json
 
 Each entry file holds ``{"spec": ..., "result": ..., "fingerprint": ...}``
-and is written atomically (tempfile + rename), so concurrent workers and
-concurrent processes may share one store without locking: the worst case
-is both simulating the same point and one rename winning, which is
-harmless because results are deterministic.
+as compact sorted-key JSON.  How entries reach disk and what happens to
+one that cannot be read is :mod:`repro.durable`'s protocol, shared with
+the trace cache, sweep manifests and save-states.
 
 The default root is ``~/.cache/repro-care/results``; override with the
 ``REPRO_RESULT_STORE`` environment variable (set it to ``0``, ``off`` or
@@ -25,209 +24,87 @@ the empty string to disable persistence entirely), which
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-import os
 import shutil
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from ..durable import (ContentStore, CorruptEntry, expect, load,
+                       source_fingerprint)
 from ..sim.stats import SimResult
 from .spec import ExperimentSpec
 
-log = logging.getLogger(__name__)
-
-_fingerprint_cache: Optional[str] = None
-
 
 def code_fingerprint() -> str:
-    """Hash of every ``repro`` package source file (path + contents).
-
-    Computed once per process; ~60 small files, so the cost is a few
-    milliseconds on first use.  Worker-safe memo: the value is a pure
-    function of the installed source tree, so every task in a warm
-    worker computes (or reuses) the identical string.
-    """
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        pkg_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(pkg_root.rglob("*.py")):
-            digest.update(str(path.relative_to(pkg_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _fingerprint_cache = digest.hexdigest()  # simsan: skip=SS601
-    return _fingerprint_cache
+    """Hash of every ``repro`` package source file (path + contents),
+    computed once per process."""
+    return source_fingerprint("**/*.py")
 
 
-@dataclass
-class FsckReport:
-    """What ``ResultStore.fsck`` found and did."""
-
-    scanned: int = 0
-    ok: int = 0
-    quarantined: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)   # per-file reasons
-
-    def summary(self) -> str:
-        return (f"fsck: {self.scanned} entr(ies) scanned, {self.ok} ok, "
-                f"{len(self.quarantined)} quarantined")
+def _payload(path: Path) -> Dict[str, Any]:
+    return expect(json.loads(path.read_bytes()), dict, "entry")
 
 
-class ResultStore:
+def _read_result(path: Path) -> SimResult:
+    return SimResult.from_dict(expect(_payload(path)["result"], dict,
+                                      "result"))
+
+
+def _read_entry(path: Path) -> Tuple[ExperimentSpec, SimResult]:
+    payload = _payload(path)
+    return (ExperimentSpec.from_dict(expect(payload["spec"], dict, "spec")),
+            SimResult.from_dict(expect(payload["result"], dict, "result")))
+
+
+class ResultStore(ContentStore):
     """On-disk result cache shared by benchmarks, examples, and the CLI."""
+
+    SUFFIX = ".json"
 
     def __init__(self, root: Union[str, Path],
                  fingerprint: Optional[str] = None) -> None:
-        self.root = Path(root)
-        self.fingerprint = fingerprint or code_fingerprint()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined = 0
-
-    # -- paths ----------------------------------------------------------
-    @property
-    def namespace(self) -> Path:
-        return self.root / self.fingerprint[:16]
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine" / self.fingerprint[:16]
+        super().__init__(root, fingerprint or code_fingerprint())
 
     def path_for(self, spec: ExperimentSpec) -> Path:
-        key = spec.key()
-        return self.namespace / key[:2] / f"{key}.json"
+        return self._path(spec.key())
 
-    # -- access ---------------------------------------------------------
     def __contains__(self, spec: ExperimentSpec) -> bool:
         return self.path_for(spec).is_file()
 
     def get(self, spec: ExperimentSpec) -> Optional[SimResult]:
         """The stored result for ``spec``, or ``None`` on a miss.
 
-        A corrupt or truncated entry (torn write, bad disk, chaos) is
-        *quarantined* — moved aside under ``quarantine/`` with a warning
-        — instead of silently shadowing the key forever; the caller sees
-        a miss and a fresh simulation rewrites the entry.
+        An unreadable entry (torn write, bad disk, chaos, hand edit) is
+        quarantined and read as a miss, so a fresh simulation rewrites
+        it instead of the key missing forever.
         """
-        path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-            result = SimResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._load(self.path_for(spec), _read_result)
 
     def put(self, spec: ExperimentSpec, result: SimResult) -> Path:
         """Persist ``result`` under ``spec``'s key (atomic rename)."""
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {"fingerprint": self.fingerprint, "spec": spec.to_dict(),
              "result": result.to_dict()},
             sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        return path
+        return self._write(self.path_for(spec), payload.encode())
 
-    def _quarantine(self, path: Path, reason: str = "") -> Optional[Path]:
-        """Move a bad entry into ``quarantine/`` (never raises)."""
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = self.quarantine_dir / path.name
-            suffix = 0
-            while target.exists():
-                suffix += 1
-                target = self.quarantine_dir / f"{path.name}.{suffix}"
-            os.replace(path, target)
-        except OSError as exc:
-            log.warning("could not quarantine corrupt entry %s: %s",
-                        path, exc)
-            return None
-        self.quarantined += 1
-        log.warning("quarantined corrupt store entry %s (%s)",
-                    path.name, reason or "unreadable")
-        return target
-
-    # -- maintenance ----------------------------------------------------
-    def entries(self) -> Iterator[Path]:
-        yield from self.namespace.glob("*/*.json")
-
-    def load_entries(self) -> Iterator[tuple]:
-        """Yield ``(ExperimentSpec, SimResult)`` for every readable entry.
-
-        Deterministic order (sorted paths); unreadable or foreign files
-        are skipped, mirroring :meth:`get`.  This is the report
-        generator's input.
-        """
+    def load_entries(self) -> Iterator[Tuple[ExperimentSpec, SimResult]]:
+        """Yield ``(ExperimentSpec, SimResult)`` for every readable entry
+        in sorted path order, quarantining unreadable ones as
+        :meth:`get` does.  This is the report generator's input."""
         for path in sorted(self.entries()):
-            try:
-                payload = json.loads(path.read_text())
-                spec = ExperimentSpec.from_dict(payload["spec"])
-                result = SimResult.from_dict(payload["result"])
-            except (OSError, KeyError, TypeError, ValueError,
-                    json.JSONDecodeError):
-                continue
-            yield spec, result
+            entry, _ = load(path, _read_entry, self.quarantine_dir)
+            if entry is not None:
+                yield entry
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def fsck(self) -> FsckReport:
-        """Scan the current namespace; quarantine corrupt entries.
-
-        An entry is healthy when it parses as JSON, carries ``spec`` and
-        ``result`` payloads that round-trip through their classes, and
-        sits under the filename matching its spec's content key.
-        Anything else — truncated writes, bit rot, hand-edited or
-        misfiled entries — moves to ``quarantine/`` and is reported, so
-        the next sweep re-simulates those points instead of serving
-        garbage or silently missing forever.
-        """
-        report = FsckReport()
-        for path in sorted(self.entries()):
-            report.scanned += 1
-            reason = None
-            try:
-                payload = json.loads(path.read_text())
-                spec = ExperimentSpec.from_dict(payload["spec"])
-                SimResult.from_dict(payload["result"])
-                if spec.key() != path.stem:
-                    reason = (f"key mismatch: spec hashes to "
-                              f"{spec.key()[:12]}..., filed as "
-                              f"{path.stem[:12]}...")
-            except (OSError, KeyError, TypeError, ValueError,
-                    json.JSONDecodeError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if reason is None:
-                report.ok += 1
-                continue
-            report.errors.append(f"{path.name}: {reason}")
-            moved = self._quarantine(path, reason=reason)
-            if moved is not None:
-                report.quarantined.append(str(moved))
-        return report
+    def _check(self, path: Path) -> None:
+        """Healthy: ``spec`` and ``result`` round-trip through their
+        classes, and the file is named by its spec's content key."""
+        spec, _ = _read_entry(path)
+        if spec.key() != path.stem:
+            raise CorruptEntry(f"key mismatch: spec hashes to "
+                               f"{spec.key()[:12]}..., filed as "
+                               f"{path.stem[:12]}...")
 
     def prune_stale(self) -> int:
         """Drop namespaces belonging to older code fingerprints."""
@@ -240,17 +117,6 @@ class ResultStore:
                 shutil.rmtree(child, ignore_errors=True)
                 removed += 1
         return removed
-
-    def clear(self) -> None:
-        shutil.rmtree(self.namespace, ignore_errors=True)
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "quarantined": self.quarantined}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultStore({str(self.namespace)!r}, hits={self.hits}, "
-                f"misses={self.misses}, writes={self.writes})")
 
 
 _default_store: Optional[ResultStore] = None

@@ -15,8 +15,8 @@ This module supplies the machinery the runner builds on:
 * :func:`compute_timeout` — the wall-clock deadline per point that the
   worker pool (:class:`repro.harness.turbo.PersistentPool`) enforces by
   killing and respawning a hung worker.
-* :class:`SweepManifest` — a checkpoint file (atomic rename, like the
-  result store) tracking done/failed/pending point keys, so
+* :class:`SweepManifest` — a checkpoint file (written by the
+  :mod:`repro.durable` protocol) tracking done/failed/pending point keys, so
   ``python -m repro campaign run --resume`` continues a killed campaign.
 * :class:`SweepSupervisor` / :func:`supervised_sweep` — the process-wide
   context the CLI installs around a sweep: failure collection across
@@ -34,12 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from ..durable import FsckReport, atomic_write, expect, fsck
 from ..sim.stats import SimResult
 from .preempt import PREEMPT_ERROR
 from .spec import ExperimentSpec
@@ -246,8 +245,9 @@ class SweepManifest:
 
     Results themselves live in the content-addressed store; the manifest
     only tracks *status*, so resuming is "serve done points from the
-    store, re-run the rest".  Writes are atomic (tempfile + rename) and
-    cheap (a few KB), so the runner checkpoints after every completion.
+    store, re-run the rest".  Writes are atomic
+    (:func:`repro.durable.atomic_write`) and cheap (a few KB), so the
+    runner checkpoints after every completion.
     """
 
     def __init__(self, path: Union[str, Path], sweep: str = "",
@@ -328,21 +328,9 @@ class SweepManifest:
                 "meta": dict(self.meta), "points": self.points}
 
     def save(self) -> Path:
-        """Atomic write (tempfile + rename), mirroring the result store."""
+        """Write the manifest (atomic rename); returns its path."""
         payload = json.dumps(self.to_dict(), sort_keys=True, indent=1)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return self.path
+        return atomic_write(self.path, payload.encode())
 
     def checkpoint(self) -> None:
         """Persist if this manifest is file-backed.
@@ -368,7 +356,7 @@ class SweepManifest:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SweepManifest":
-        data = json.loads(Path(path).read_text())
+        data = expect(json.loads(Path(path).read_bytes()), dict, "manifest")
         if data.get("version") != MANIFEST_VERSION:
             raise ValueError(
                 f"unsupported manifest version {data.get('version')!r} "
@@ -379,63 +367,29 @@ class SweepManifest:
         return manifest
 
 
-def fsck_manifests(paths: Sequence[Union[str, Path]]) -> Any:
+def fsck_manifests(paths: Sequence[Union[str, Path]]) -> FsckReport:
     """Validate sweep/campaign manifest files; quarantine corrupt ones.
 
-    A truncated or hand-mangled manifest would crash ``--resume``, so
+    A truncated or hand-mangled manifest cannot be resumed from, so
     ``store fsck`` covers the ledgers too: every file must parse, carry
     a supported version, and hold entries whose spec round-trips to its
-    key with a known status.  Bad files move aside (``quarantine/``
-    beside the manifest, numbered-suffix on collision — the store's
-    idiom) and the next sweep starts a fresh ledger; done points still
-    come from the result store.  Returns a
-    :class:`repro.harness.store.FsckReport`.
+    key with a known status.  Bad files move into ``quarantine/`` beside
+    the manifest and the next sweep starts a fresh ledger; done points
+    still come from the result store.
     """
-    from .store import FsckReport
+    return fsck([Path(p) for p in paths if Path(p).is_file()],
+                _check_manifest)
+
+
+def _check_manifest(path: Path) -> None:
     statuses = (STATUS_PENDING, STATUS_DONE, STATUS_FAILED)
-    report = FsckReport()
-    for raw in paths:
-        path = Path(raw)
-        if not path.is_file():
-            continue
-        report.scanned += 1
-        try:
-            manifest = SweepManifest.load(path)
-            for key, entry in manifest.points.items():
-                spec = ExperimentSpec.from_dict(entry["spec"])
-                if spec.key() != key:
-                    raise ValueError(
-                        f"entry {key[:12]} does not match its spec")
-                if entry["status"] not in statuses:
-                    raise ValueError(
-                        f"entry {key[:12]} has unknown status "
-                        f"{entry['status']!r}")
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            report.errors.append(f"{path.name}: {exc}")
-            moved = _quarantine_manifest(path)
-            if moved is not None:
-                report.quarantined.append(str(moved))
-            continue
-        report.ok += 1
-    return report
-
-
-def _quarantine_manifest(path: Path) -> Optional[Path]:
-    """Move a corrupt manifest aside (never raises, like the store)."""
-    try:
-        qdir = path.parent / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = qdir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-    except OSError as exc:
-        log.warning("could not quarantine manifest %s: %s", path, exc)
-        return None
-    log.warning("quarantined corrupt manifest %s", path.name)
-    return target
+    for key, entry in SweepManifest.load(path).points.items():
+        spec = ExperimentSpec.from_dict(entry["spec"])
+        if spec.key() != key:
+            raise ValueError(f"entry {key[:12]} does not match its spec")
+        if entry["status"] not in statuses:
+            raise ValueError(f"entry {key[:12]} has unknown status "
+                             f"{entry['status']!r}")
 
 
 # ----------------------------------------------------------------------

@@ -34,12 +34,6 @@ _RECORD = struct.Struct("<QQBH")
 # Native format
 # ----------------------------------------------------------------------
 
-def _open_write(path: Path) -> BinaryIO:
-    if path.suffix == ".gz":
-        return gzip.open(path, "wb")
-    return open(path, "wb")
-
-
 def _open_read(path: Path) -> BinaryIO:
     with open(path, "rb") as probe:
         magic = probe.read(2)
@@ -48,21 +42,26 @@ def _open_read(path: Path) -> BinaryIO:
     return open(path, "rb")
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace in the native binary format (gzip if ``.gz``)."""
-    path = Path(path)
+def encode_trace(trace: Trace, compress: bool = True) -> bytes:
+    """``trace`` in the native binary format, gzipped unless
+    ``compress`` is false (``mtime=0``: the bytes depend only on the
+    trace)."""
     header = json.dumps({
         "name": trace.name, "seed": trace.seed, "suite": trace.suite,
         "records": len(trace.records),
     }).encode()
-    with _open_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HI", _VERSION, len(header)))
-        fh.write(header)
-        for rec in trace.records:
-            flags = (1 if rec.is_write else 0) | (2 if rec.dep else 0)
-            fh.write(_RECORD.pack(rec.pc, rec.addr, flags,
-                                  min(rec.gap, 0xFFFF)))
+    raw = bytearray(_MAGIC + struct.pack("<HI", _VERSION, len(header))
+                    + header)
+    for rec in trace.records:
+        flags = (1 if rec.is_write else 0) | (2 if rec.dep else 0)
+        raw += _RECORD.pack(rec.pc, rec.addr, flags, min(rec.gap, 0xFFFF))
+    return gzip.compress(raw, mtime=0) if compress else bytes(raw)
+
+
+def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+    """Write a trace in the native binary format (gzip if ``.gz``)."""
+    path = Path(path)
+    path.write_bytes(encode_trace(trace, compress=path.suffix == ".gz"))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

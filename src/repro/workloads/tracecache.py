@@ -8,17 +8,12 @@ The :class:`TraceCache` generates each distinct trace once and serves
 every later request from disk (and from a small in-process memo, which
 is what makes persistent warm workers nearly generation-free).
 
-Addressing mirrors :class:`~repro.harness.store.ResultStore`:
-
-* the **key** is ``sha256`` over the canonical JSON of the generation
-  parameters (:func:`trace_key`);
-* the **namespace** is a fingerprint over the workload-generator sources
-  (plus ``sim/config.py``, whose ``BLOCK_SIZE`` shapes addresses), so
-  editing a generator can never serve stale traces;
-* entries are written atomically (tempfile + rename) in the native
-  ``.rtrc.gz`` format of :mod:`repro.workloads.io`, are fsck-able
-  (:meth:`TraceCache.fsck`), and corrupt entries are quarantined on
-  read instead of poisoning sweeps.
+It is a :class:`~repro.durable.ContentStore`, like the result store:
+the **key** hashes the generation parameters (:func:`trace_key`), the
+**namespace** the workload-generator sources plus ``sim/config.py``
+(whose ``BLOCK_SIZE`` shapes addresses), and entries are the native
+``.rtrc.gz`` format of :mod:`repro.workloads.io`, so a torn or
+bit-flipped entry is quarantined and regenerated.
 
 Byte-identity contract: a cached trace must round-trip *exactly* —
 :func:`repro.workloads.io.save_trace` clamps ``gap`` to 16 bits, so any
@@ -40,14 +35,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import struct
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from .io import load_trace, save_trace
+from ..durable import ContentStore, source_fingerprint
+from .io import encode_trace, load_trace
 from .trace import Trace
 
 log = logging.getLogger(__name__)
@@ -64,8 +57,6 @@ _MAX_U64 = (1 << 64) - 1
 #: matrix) while bounding memory for paper-scale traces.
 MEMO_ENTRIES = 16
 
-_fingerprint_cache: Optional[str] = None
-
 
 def workloads_fingerprint() -> str:
     """Hash of the trace-generation sources (the cache namespace).
@@ -75,22 +66,7 @@ def workloads_fingerprint() -> str:
     constants in ``repro/sim/config.py``, so a policy or harness edit
     keeps every cached trace valid.
     """
-    # SS601: content-addressed memo — every process (parent or warm
-    # worker) computes the identical digest from on-disk sources, so a
-    # stale value cannot exist and the write is idempotent.
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        pkg_root = Path(__file__).resolve().parent
-        paths = sorted(pkg_root.glob("*.py"))
-        paths.append(pkg_root.parent / "sim" / "config.py")
-        digest = hashlib.sha256()
-        for path in paths:
-            digest.update(path.name.encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _fingerprint_cache = digest.hexdigest()  # simsan: skip=SS601
-    return _fingerprint_cache
+    return source_fingerprint("workloads/*.py", "sim/config.py")
 
 
 def trace_key(kind: str, name: str, n_records: int, seed: int,
@@ -113,66 +89,40 @@ def _representable(trace: Trace) -> bool:
     return True
 
 
-class TraceCache:
-    """Keyed on-disk trace cache (layout and hardening like ResultStore).
+class TraceCache(ContentStore):
+    """Keyed on-disk trace cache with an in-process memo.
 
     Layout::
 
         <root>/<workloads_fingerprint[:16]>/<key[:2]>/<key>.rtrc.gz
     """
 
+    SUFFIX = ".rtrc.gz"
+
     def __init__(self, root: Union[str, Path],
                  fingerprint: Optional[str] = None,
                  chaos: Optional[Any] = None) -> None:
-        self.root = Path(root)
-        self.fingerprint = fingerprint or workloads_fingerprint()
+        super().__init__(root, fingerprint or workloads_fingerprint())
         #: the run's :class:`~repro.checks.chaos.ChaosConfig` (its
         #: ``corrupt`` fault tears fresh entries), or ``None``
         self.chaos = chaos
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
         self.memo_hits = 0
-        self.quarantined = 0
         self._memo: "OrderedDict[str, Trace]" = OrderedDict()
 
-    # -- paths ----------------------------------------------------------
-    @property
-    def namespace(self) -> Path:
-        return self.root / self.fingerprint[:16]
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine" / self.fingerprint[:16]
-
     def path_for(self, key: str) -> Path:
-        return self.namespace / key[:2] / f"{key}.rtrc.gz"
+        return self._path(key)
 
-    # -- access ---------------------------------------------------------
     def get(self, key: str) -> Optional[Trace]:
-        """The cached trace for ``key``, or ``None`` on a miss.
-
-        Unreadable entries (torn writes, chaos corruption, foreign
-        files) are quarantined and reported as a miss, so the caller
-        regenerates and rewrites the entry.
-        """
+        """The cached trace for ``key``, or ``None`` on a miss (an
+        unreadable entry is quarantined and is a miss too, so the caller
+        regenerates and rewrites it)."""
         memo = self._memo.get(key)
         if memo is not None:
             self.memo_hits += 1
             return memo
-        path = self.path_for(key)
-        try:
-            trace = load_trace(path)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, EOFError, KeyError, ValueError,
-                struct.error) as exc:
-            self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._remember(key, trace)
+        trace = self._load(self.path_for(key), load_trace)
+        if trace is not None:
+            self._remember(key, trace)
         return trace
 
     def put(self, key: str, trace: Trace) -> Optional[Path]:
@@ -187,21 +137,10 @@ class TraceCache:
                       trace.name)
             return None
         self._remember(key, trace)
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".gz")
-        try:
-            os.close(fd)
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        self._maybe_chaos_corrupt(key, path)
+        path = self._write(self.path_for(key), encode_trace(trace))
+        if self.chaos is not None:
+            from ..checks.chaos import corrupt_entry
+            corrupt_entry(self.chaos, key, path)
         return path
 
     def _remember(self, key: str, trace: Trace) -> None:
@@ -213,75 +152,14 @@ class TraceCache:
     def clear_memo(self) -> None:
         self._memo.clear()
 
-    def _maybe_chaos_corrupt(self, key: str, path: Path) -> None:
-        """Chaos hook: the ``corrupt`` fault truncates selected fresh
-        entries, exercising quarantine/fsck against real torn files."""
-        from ..checks.chaos import corrupt_entry
-        if self.chaos is not None and corrupt_entry(self.chaos, key, path):
-            log.debug("chaos: corrupted trace cache entry %s", path.name)
-
-    def _quarantine(self, path: Path, reason: str = "") -> Optional[Path]:
-        """Move a bad entry into ``quarantine/`` (never raises)."""
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = self.quarantine_dir / path.name
-            suffix = 0
-            while target.exists():
-                suffix += 1
-                target = self.quarantine_dir / f"{path.name}.{suffix}"
-            os.replace(path, target)
-        except OSError as exc:
-            log.warning("could not quarantine corrupt trace entry %s: %s",
-                        path, exc)
-            return None
-        self.quarantined += 1
-        log.warning("quarantined corrupt trace cache entry %s (%s)",
-                    path.name, reason or "unreadable")
-        return target
-
-    # -- maintenance ----------------------------------------------------
-    def entries(self) -> Iterator[Path]:
-        yield from self.namespace.glob("*/*.rtrc.gz")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def fsck(self):
-        """Scan the namespace; quarantine entries that cannot load.
-
-        Healthy means: the file parses as a native trace and sits under
-        the filename matching no *other* constraints — trace keys hash
-        generation parameters that are not recoverable from the payload,
-        so fsck validates readability, not re-derivable identity.
-        Returns the same :class:`~repro.harness.store.FsckReport` shape
-        the result store uses, so the CLI renders both uniformly.
-        """
-        from ..harness.store import FsckReport
-        report = FsckReport()
-        for path in sorted(self.entries()):
-            report.scanned += 1
-            try:
-                load_trace(path)
-            except (OSError, EOFError, KeyError, ValueError,
-                    struct.error) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                report.errors.append(f"{path.name}: {reason}")
-                moved = self._quarantine(path, reason=reason)
-                if moved is not None:
-                    report.quarantined.append(str(moved))
-                continue
-            report.ok += 1
-        return report
+    def _check(self, path: Path) -> None:
+        """Healthy means the entry loads as a native trace: trace keys
+        hash generation parameters the payload does not carry, so fsck
+        checks readability, not identity."""
+        load_trace(path)
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "memo_hits": self.memo_hits,
-                "quarantined": self.quarantined}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TraceCache({str(self.namespace)!r}, hits={self.hits}, "
-                f"memo_hits={self.memo_hits}, misses={self.misses}, "
-                f"writes={self.writes})")
+        return {**super().stats(), "memo_hits": self.memo_hits}
 
 
 # ----------------------------------------------------------------------

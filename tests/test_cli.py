@@ -480,6 +480,19 @@ def test_store_fsck_validates_manifests(sweep_env, tmp_path, capsys):
     assert main(["store", "fsck", "--manifests", str(manifest)]) == 0
 
 
+def test_resume_quarantines_an_unreadable_manifest(sweep_env, tmp_path,
+                                                   capsys):
+    from repro.harness.supervise import SweepManifest
+    manifest = tmp_path / "m.manifest.json"
+    manifest.write_text("[]")
+    assert main(["campaign", "run", str(write_campaign(tmp_path)),
+                 "--workers", "1", "--quiet", "--manifest", str(manifest),
+                 "--resume"]) == 0
+    assert "quarantined the unreadable manifest" in capsys.readouterr().err
+    assert (tmp_path / "quarantine" / manifest.name).read_text() == "[]"
+    assert SweepManifest.load(manifest).counts()["done"] == 3
+
+
 def test_store_fsck_command(sweep_env, capsys):
     assert main(["run", "462.libquantum", "--policies", "lru",
                  "--records", "600"]) == 0

@@ -73,6 +73,12 @@ def test_fsck_quarantines_missing_fields(store, spec):
     path.write_text(json.dumps({"spec": spec.to_dict()}))  # no result
     report = store.fsck()
     assert len(report.quarantined) == 1
+    # well-formed JSON of the wrong shape is just as unreadable
+    for shape in ({"spec": spec.to_dict(), "result": []}, [], "entry"):
+        path.write_text(json.dumps(shape))
+        report = store.fsck()
+        assert report.scanned == 1 and len(report.quarantined) == 1
+        assert not path.exists()
 
 
 def test_get_quarantines_corrupt_entry_as_miss(store, spec):
@@ -83,6 +89,14 @@ def test_get_quarantines_corrupt_entry_as_miss(store, spec):
     assert (store.quarantine_dir / path.name).is_file()
     assert store.stats()["quarantined"] == 1
     assert spec not in store
+    # a result of the wrong shape is a miss too, for get and the report
+    wrong_shape = json.dumps({"spec": spec.to_dict(), "result": []})
+    path.write_text(wrong_shape)
+    assert store.get(spec) is None
+    path.write_text(wrong_shape)
+    assert list(store.load_entries()) == []
+    assert not path.exists()
+    assert len(list(store.quarantine_dir.iterdir())) == 3
 
 
 def test_quarantine_collisions_get_suffixes(store, spec):
@@ -154,9 +168,11 @@ def test_fsck_manifests_quarantines_semantic_damage(tmp_path, spec):
     data = json.loads(status.read_text())
     data["points"][spec.key()]["status"] = "exploded"
     status.write_text(json.dumps(data))
-    report = fsck_manifests([future, mismatch, status])
-    assert report.scanned == 3 and report.ok == 0
-    assert len(report.quarantined) == 3
+    shape = tmp_path / "shape.manifest.json"
+    shape.write_text("[]")
+    report = fsck_manifests([future, mismatch, status, shape])
+    assert report.scanned == 4 and report.ok == 0
+    assert len(report.quarantined) == 4
     assert any("version" in e for e in report.errors)
     assert any("does not match" in e for e in report.errors)
     assert any("unknown status" in e for e in report.errors)

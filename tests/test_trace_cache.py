@@ -125,6 +125,34 @@ def test_fsck_quarantines_unreadable_entries(cache):
     assert clean.scanned == 1 and clean.ok == 1 and not clean.errors
 
 
+def flip_middle(path, n=64):
+    """XOR ``n`` bytes in the middle of ``path`` (bit rot, not a tear)."""
+    data = bytearray(path.read_bytes())
+    mid = len(data) // 2
+    for i in range(mid - n // 2, mid + n // 2):
+        data[i] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def test_bit_flipped_entry_is_quarantined_then_regenerated(cache):
+    cached_trace(cache=cache, **SPEC_ARGS)
+    path = cache.path_for(trace_key(**SPEC_ARGS))
+    flip_middle(path)
+    cache.clear_memo()
+
+    got = cached_trace(cache=cache, **SPEC_ARGS)   # quarantine + regen
+    assert got.records == spec_trace("429.mcf", n_records=400, seed=3,
+                                     scale=1).records
+    assert cache.stats()["quarantined"] == 1
+    assert [p.name for p in cache.quarantine_dir.iterdir()] == [path.name]
+    # fsck finds the same damage offline
+    flip_middle(path)
+    report = cache.fsck()
+    assert report.scanned == 1 and report.ok == 0
+    assert len(report.quarantined) == 1 and report.errors
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------------
 # Representability guard: never cache what the format would distort
 # ----------------------------------------------------------------------
