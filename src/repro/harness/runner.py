@@ -65,6 +65,13 @@ log = logging.getLogger(__name__)
 #: sentinel: "use the process-wide default store"
 USE_DEFAULT_STORE = object()
 
+#: Seconds between two manifest writes for done marks.  A save rewrites
+#: the whole ledger, so a save per completion costs more per point the
+#: larger the campaign; a save per period keeps the ledger's cost per
+#: point fixed.  A killed sweep loses at most this much of its done
+#: marks, and ``--resume`` serves those points from the store.
+MANIFEST_SAVE_PERIOD = 10.0
+
 #: in-process memo: repeated calls in one session return the identical
 #: result object
 _MEMO: Dict[ExperimentSpec, SimResult] = {}
@@ -286,7 +293,7 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
     report = _as_progress(progress)
     stats = stats_out if stats_out is not None else SweepStats()
     stats.total = len(specs)
-    stats.workers = resolve_workers(workers)
+    stats.workers = 1       # the width that ran; the pool sets its own
     resolved = _resolve_store(store)
     started = time.monotonic()
 
@@ -326,9 +333,11 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         # One checkpoint before simulation starts, so even a SIGKILL'd
         # campaign leaves a complete pending list behind.
         manifest.checkpoint()
+    saved_at = time.monotonic()
 
     def finish(spec: ExperimentSpec, result: SimResult,
                duration: float) -> None:
+        nonlocal saved_at
         _MEMO[spec] = result
         results[spec] = result
         if resolved is not None:
@@ -348,7 +357,10 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         session_stats.simulated += 1
         if manifest is not None:
             manifest.mark_done(spec)
-            manifest.checkpoint()
+            now = time.monotonic()
+            if now - saved_at >= MANIFEST_SAVE_PERIOD:
+                manifest.checkpoint()
+                saved_at = now
         if report:
             report(stats, spec, "simulated")
 
@@ -416,7 +428,7 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
 
     try:
         if pending:
-            n_workers = min(stats.workers, len(pending))
+            n_workers = min(resolve_workers(workers), len(pending))
             if n_workers > 1:
                 from .turbo import PoolUnavailable, shared_pool
                 try:
@@ -427,6 +439,7 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                         config=config, supervisor=sup,
                         keep_going=keep_going)
                     stats.pool_used = True
+                    stats.workers = n_workers
                 except PoolUnavailable as exc:
                     log.warning("worker pool unavailable (%s); "
                                 "falling back to serial execution",
@@ -453,6 +466,10 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                 done=stats.done,
                 pending=stats.total - stats.done - stats.failed) from None
         raise
+    except SweepFailedError:    # keep_going=False stopped the sweep
+        if sup is not None:
+            sup.flush(force=True)
+        raise
 
     stats.elapsed = time.monotonic() - started
     session_stats.sweeps.append(stats)
@@ -461,9 +478,11 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                     stats.store_write_failures)
     if report:
         report(stats, None, "done")
+    if sup is not None:
+        # Done marks since the last periodic save reach disk here, so
+        # the ledger is current whenever the call ends.
+        sup.flush(force=True)
     if stats.failures:
-        if sup is not None:
-            sup.flush(force=True)
         if on_failure == "raise":
             raise SweepFailedError(stats.failures, results)
         return [results.get(spec) for spec in specs]

@@ -246,8 +246,11 @@ class SweepManifest:
     Results themselves live in the content-addressed store; the manifest
     only tracks *status*, so resuming is "serve done points from the
     store, re-run the rest".  Writes are atomic
-    (:func:`repro.durable.atomic_write`) and cheap (a few KB), so the
-    runner checkpoints after every completion.
+    (:func:`repro.durable.atomic_write`) and rewrite the whole ledger, so
+    the runner saves done marks at most once per
+    :data:`~repro.harness.runner.MANIFEST_SAVE_PERIOD` and whenever a
+    ``run_many`` call ends; failures and preempts are saved at once.  A
+    done mark lost to a kill costs ``--resume`` one store hit.
     """
 
     def __init__(self, path: Union[str, Path], sweep: str = "",

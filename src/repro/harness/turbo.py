@@ -6,7 +6,10 @@ synthetic trace regeneration every time.  This module keeps a pool of
 long-lived workers that fork once with imports hot and serve tasks over
 pipes; with the content-addressed
 :class:`~repro.workloads.tracecache.TraceCache` beside it, a warm point
-pays for simulation only.
+pays for simulation only.  A worker that returns a good result is fed
+its next point before the parent decodes, stores and records that
+result, so the parent's bookkeeping overlaps simulation instead of
+idling the worker.
 
 Supervision (:mod:`repro.harness.supervise`) is enforced per point: a
 transient failure is retried with backoff, a permanent one is recorded,
@@ -319,6 +322,21 @@ class PersistentPool:
                           None if timeout is None else now + timeout)
             return True
 
+        def feed(worker: _PoolWorker) -> bool:
+            """Dispatch the first queued task past its backoff to the
+            idle ``worker``; False when no task is eligible yet."""
+            now = time.monotonic()
+            index = next((i for i, (_, _, nb) in enumerate(queue)
+                          if nb <= now), None)
+            if index is None:
+                return False
+            spec, attempt, _ = queue.pop(index)
+            if not dispatch(worker, spec, attempt):
+                # worker died at send time: put the task back and let
+                # the loop's next pass replenish the pool
+                queue.append((spec, attempt, now))
+            return True
+
         def requeue(spec: ExperimentSpec, key: str, attempt: int,
                     error: str) -> None:
             if on_retry is not None:
@@ -401,6 +419,11 @@ class PersistentPool:
                          time.monotonic() - started, pid)
             elif payload.get("ok"):
                 worker.clear()       # stays warm for the next task
+                # Feed first: the worker simulates its next point while
+                # the parent decodes, stores and records this one.
+                if not aborted and not (supervisor is not None
+                                        and supervisor.interrupted):
+                    feed(worker)
                 on_success(spec, SimResult.from_dict(payload["result"]),
                            payload["duration"])
             elif payload.get("preempted"):
@@ -438,17 +461,10 @@ class PersistentPool:
                     # Workers lost to crashes/timeouts are replaced while
                     # work remains; an empty pool aborts to serial.
                     self._replenish()
-                now = time.monotonic()
                 for worker in [w for w in self._workers if not w.busy]:
-                    index = next((i for i, (_, _, nb) in enumerate(queue)
-                                  if nb <= now), None)
-                    if index is None:
+                    if not feed(worker):
                         break
-                    spec, attempt, _ = queue.pop(index)
-                    if not dispatch(worker, spec, attempt):
-                        # worker died at send time: put the task back and
-                        # let the next iteration replenish the pool
-                        queue.append((spec, attempt, now))
+                now = time.monotonic()
                 busy = [w for w in self._workers if w.busy]
                 if not busy:
                     if queue:   # everything is backing off

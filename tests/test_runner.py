@@ -113,6 +113,24 @@ def test_run_many_progress_callback(isolated_store):
     assert events[-1] == "done"
 
 
+def test_sweep_stats_report_the_width_that_ran(isolated_store):
+    """``SweepStats.workers`` is the width that simulated, not the one
+    asked for: one pending point runs serially, and a pooled sweep
+    reports its pool's width."""
+    stats = SweepStats()
+    run_many(specs_for(WORKLOADS[:1]), workers=2, store=None,
+             stats_out=stats)
+    assert not stats.pool_used and stats.workers == 1
+    assert "workers=1 (serial)" in stats.summary()
+
+    clear_memo()
+    stats = SweepStats()
+    run_many(specs_for(WORKLOADS[:2]), workers=3, store=None,
+             stats_out=stats)
+    assert stats.pool_used or stats.fell_back_serial
+    assert stats.workers == (1 if stats.fell_back_serial else 2)
+
+
 def test_resolve_workers(monkeypatch):
     assert resolve_workers(None) == 1
     assert resolve_workers(3) == 3

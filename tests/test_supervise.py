@@ -194,6 +194,64 @@ def test_run_many_checkpoints_manifest(tmp_path):
     assert entry["error"]["error"] == "ChaosError"
 
 
+def six_points():
+    return [ExperimentSpec.single(w, p, n_records=300)
+            for w in WORKLOADS for p in ("lru", "srrip")]
+
+
+def count_saves(monkeypatch):
+    """Record the done count of every ledger write."""
+    saves = []
+    save = SweepManifest.save
+
+    def counting_save(manifest):
+        saves.append(manifest.counts()["done"])
+        return save(manifest)
+
+    monkeypatch.setattr(SweepManifest, "save", counting_save)
+    return saves
+
+
+def test_run_many_saves_the_ledger_at_start_and_end(tmp_path, monkeypatch):
+    """Done marks reach disk at most once per save period: a sweep that
+    ends within the period writes its ledger twice, before simulation
+    and on return, whatever its number of points."""
+    saves = count_saves(monkeypatch)
+    path = tmp_path / "m.json"
+    with supervised_sweep(manifest=SweepManifest(path)):
+        run_many(six_points(), workers=1)
+    assert saves == [0, 6]
+    assert SweepManifest.load(path).counts()["done"] == 6
+
+
+def test_run_many_saves_done_marks_once_the_period_passes(tmp_path,
+                                                          monkeypatch):
+    """With the period elapsed at every completion, each done mark
+    reaches disk as it happens."""
+    from repro.harness import runner
+    monkeypatch.setattr(runner, "MANIFEST_SAVE_PERIOD", 0.0)
+    saves = count_saves(monkeypatch)
+    with supervised_sweep(manifest=SweepManifest(tmp_path / "m.json")):
+        run_many(six_points(), workers=1)
+    assert saves == [0, 1, 2, 3, 4, 5, 6, 6]
+
+
+def test_fail_fast_sweep_leaves_every_completed_point_done(tmp_path):
+    """``keep_going=False`` aborts on the pool's first failure; the
+    ledger on disk still shows every point that completed as done."""
+    specs = six_points()
+    path = tmp_path / "m.json"
+    with supervised_sweep(manifest=SweepManifest(path), keep_going=False):
+        with pytest.raises(SweepFailedError) as excinfo:
+            run_many(specs, workers=2, config=chaos("raise:13:1/3"))
+    completed = {spec.key() for spec in excinfo.value.results}
+    [failure] = excinfo.value.failures
+    loaded = SweepManifest.load(path)
+    assert completed
+    assert set(loaded.keys_with_status("done")) == completed
+    assert loaded.keys_with_status("failed") == [failure.key]
+
+
 # ----------------------------------------------------------------------
 # Signal handling: SIGINT mid-sweep checkpoints, resume completes
 # ----------------------------------------------------------------------

@@ -81,6 +81,23 @@ def test_pool_workers_are_reused_across_sweeps():
     assert all(w.proc.is_alive() for w in turbo._SHARED._workers)
 
 
+def test_freed_worker_is_fed_before_the_parent_bookkeeping():
+    """Feed first: when the first result's bookkeeping (decode, store
+    write, ledger, progress) runs, the worker that returned it already
+    simulates its next point, so both workers of the pool are busy."""
+    busy_at_first = []
+
+    def progress(stats, spec, event):
+        if event == "simulated" and not busy_at_first:
+            busy_at_first.append(sum(w.busy for w in turbo._SHARED._workers))
+
+    stats = SweepStats()
+    results = run_many(specs_for(WORKLOADS + ["482.sphinx3"]), workers=2,
+                       stats_out=stats, progress=progress)
+    assert stats.pool_used and all(r is not None for r in results)
+    assert busy_at_first == [2]
+
+
 def test_shared_pool_resizes_by_restart():
     pool = shared_pool(2)
     assert shared_pool(2) is pool          # stable at the same width
