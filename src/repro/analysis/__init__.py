@@ -29,7 +29,6 @@ from .hwcost import (
 )
 from .reporting import banner, format_bars, format_table
 from .statistics import RunStatistics, separable, summarize, summarize_sweep
-from .charts import line_chart, scaling_chart
 
 __all__ = [
     "geometric_mean", "normalized_ipc", "normalized_weighted_ipc",
@@ -41,5 +40,4 @@ __all__ = [
     "care_cost", "framework_costs",
     "banner", "format_bars", "format_table",
     "RunStatistics", "separable", "summarize", "summarize_sweep",
-    "line_chart", "scaling_chart",
 ]

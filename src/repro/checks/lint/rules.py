@@ -235,6 +235,9 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.sim.mshr.MSHREntry.merge",
     "repro.sim.mshr.MSHR.merge",
     "repro.sim.request.MemRequest.respond",
+    "repro.core.care.CAREPolicy.find_victim",
+    "repro.core.care.CAREPolicy.on_hit",
+    "repro.core.care.CAREPolicy._train_hit",
     "repro.core.care.CAREPolicy.on_evict",
     "repro.core.pmc.pmc_bin",
     "repro.core.pmc._CoreMonitor.accrue",
@@ -244,7 +247,12 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.core.pmc.ConcurrencyMonitor._base_end",
     "repro.core.pmc.ConcurrencyMonitor.on_miss_start",
     "repro.core.pmc.ConcurrencyMonitor.on_miss_end",
+    "repro.core.signatures.hash_pc",
+    "repro.core.signatures.pc_signature",
     "repro.core.sht.SignatureHistoryTable._index",
+    "repro.core.sht.SignatureHistoryTable.rc",
+    "repro.core.sht.SignatureHistoryTable.rc_increment",
+    "repro.core.sht.SignatureHistoryTable.reuse_class",
     "repro.core.sht.SignatureHistoryTable.rc_decrement",
     "repro.core.sht.SignatureHistoryTable.pd_increment",
     "repro.core.sht.SignatureHistoryTable.pd_decrement",

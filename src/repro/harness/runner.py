@@ -101,10 +101,6 @@ class SweepStats:
     failures: List[FailedResult] = field(default_factory=list)
 
     @property
-    def cache_hits(self) -> int:
-        return self.memo_hits + self.store_hits
-
-    @property
     def utilization(self) -> float:
         """Fraction of worker wall-clock spent simulating."""
         if self.elapsed <= 0 or self.workers <= 0:
@@ -374,9 +370,6 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
             stats.crashes += 1
         if sup is not None:
             sup.record_failure(failure)   # manifest + incident trail
-        elif manifest is not None:
-            manifest.mark_failed(failure)
-            manifest.checkpoint()
         log.warning("sweep point failed: %s", failure.summary())
         if report:
             report(stats, failure.spec, "failed")

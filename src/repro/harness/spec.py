@@ -196,7 +196,10 @@ class ExperimentSpec:
             config = RunConfig.from_env()
         obs = config.obs
         if obs is not None and obs.enabled and obs.tag == "run":
-            obs = obs.with_tag(self.label())
+            # The label omits records, seed and preset, so points that
+            # differ only there share it; the key prefix keeps their
+            # artifacts apart.
+            obs = obs.with_tag(f"{self.label()}-{self.key()[:12]}")
         policy = None
         if config.checkpoint is not None:
             from .store import code_fingerprint

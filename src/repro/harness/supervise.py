@@ -254,14 +254,11 @@ class SweepManifest:
     """
 
     def __init__(self, path: Union[str, Path], sweep: str = "",
-                 meta: Optional[Dict[str, Any]] = None,
-                 persist: bool = True) -> None:
+                 meta: Optional[Dict[str, Any]] = None) -> None:
         self.path = Path(path)
         self.sweep = sweep
         self.meta = dict(meta or {})
         self.points: Dict[str, Dict[str, Any]] = {}
-        #: False = keep in memory only, write on interrupt/failure flush
-        self.persist = persist
         self._strikes = 0   # consecutive checkpoint() failures
 
     # -- bookkeeping ----------------------------------------------------
@@ -336,15 +333,13 @@ class SweepManifest:
         return atomic_write(self.path, payload.encode())
 
     def checkpoint(self) -> None:
-        """Persist if this manifest is file-backed.
+        """Save the ledger, counting consecutive failures.
 
         A single failed write is tolerated (warning), but
         ``MANIFEST_STRIKES`` consecutive failures raise
         :class:`ManifestPersistError` — a campaign without a ledger
         cannot resume, so limping on would be silent data loss.
         """
-        if not self.persist:
-            return
         try:
             self.save()
         except OSError as exc:
@@ -436,7 +431,8 @@ class SweepSupervisor:
                              error=failure.error, attempts=failure.attempts)
 
     def flush(self, force: bool = False) -> None:
-        """Write the manifest out (always when ``force``)."""
+        """Write the manifest out; with ``force`` a failed write only
+        warns instead of counting a strike."""
         if self.manifest is None:
             return
         if force:

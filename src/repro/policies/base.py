@@ -33,12 +33,12 @@ class PolicyAccess:
     """
 
     __slots__ = ("pc", "addr", "core", "rtype", "prefetch", "pmc",
-                 "mlp_cost", "was_pure", "instr_during_miss", "next_use")
+                 "mlp_cost", "was_pure", "next_use")
 
     def __init__(self, pc: int, addr: int, core: int, rtype: AccessType,
                  prefetch: bool = False, pmc: float = 0.0,
                  mlp_cost: float = 0.0, was_pure: bool = False,
-                 instr_during_miss: int = 0, next_use: int = -1) -> None:
+                 next_use: int = -1) -> None:
         self.pc = pc
         self.addr = addr
         self.core = core
@@ -47,7 +47,6 @@ class PolicyAccess:
         self.pmc = pmc
         self.mlp_cost = mlp_cost
         self.was_pure = was_pure
-        self.instr_during_miss = instr_during_miss  # instrs issued during miss
         self.next_use = next_use    # future knowledge (standalone sim; OPT)
 
     @property

@@ -1,4 +1,4 @@
-"""Set dueling (Qureshi et al., DIP) — shared by DRRIP, SBAR and friends.
+"""Set dueling (Qureshi et al., DIP) — shared by DRRIP and SBAR.
 
 A small number of *leader sets* are hard-wired to each competing policy; a
 saturating PSEL counter tallies which leader group misses less, and all

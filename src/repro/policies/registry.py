@@ -103,8 +103,8 @@ def _ensure_loaded() -> None:
     # same registry, whichever task loads it first.
     _loaded = True  # simsan: skip=SS601
     from . import (  # noqa: F401
-        fifo, lfu, lru, random_policy, srrip, drrip, dip, rlr, eaf,
-        ship, shippp, sbar, lacs, hawkeye, glider, mockingjay, opt,
+        fifo, lfu, lru, random_policy, srrip, drrip, ship, shippp, sbar,
+        hawkeye, glider, mockingjay, opt,
     )
     from ..core import care, mcare  # noqa: F401
     # Register classical policies that predate the decorator.

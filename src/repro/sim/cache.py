@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
 from .config import BLOCK_BITS, CacheConfig
 from .engine import Engine
@@ -168,7 +168,7 @@ class Cache:
 
     __slots__ = (
         "cfg", "name", "engine", "policy", "lower", "monitor", "prefetcher",
-        "inclusive", "upper_levels", "instr_counter", "stats", "_set_mask",
+        "inclusive", "upper_levels", "stats", "_set_mask",
         "_set_bits", "_latency", "_ways", "_sets", "_tag2way", "_valid_count",
         "_dup_tags", "mshr", "_pending", "_fill_cb", "_lookup_cb", "_post",
         "tracer",
@@ -190,9 +190,6 @@ class Cache:
         #: inclusive mode: evictions back-invalidate the upper levels
         self.inclusive = inclusive
         self.upper_levels: List["Cache"] = []
-        # Optional core-instruction counter, wired by the System: lets
-        # cost-based policies (LACS) see instructions issued during a miss.
-        self.instr_counter: Optional[Callable[[int], int]] = None
         self.stats = CacheStats()
 
         self._set_mask = cfg.sets - 1
@@ -400,8 +397,6 @@ class Cache:
         occ = len(entries)
         if occ > mshr.peak_occupancy:
             mshr.peak_occupancy = occ
-        if self.instr_counter is not None:
-            entry.instr_at_issue = self.instr_counter(core)
         if self.monitor is not None:
             self.monitor.on_miss_start(core, now, entry)
         if self.lower is None:
@@ -460,13 +455,9 @@ class Cache:
             fill_access = PolicyAccess(req.pc, req.addr, req.core, req.rtype)
         else:
             prefetch_fill = entry.prefetch_only
-            instr_during = 0
-            if self.instr_counter is not None:
-                instr_during = (self.instr_counter(req.core)
-                                - entry.instr_at_issue)
             fill_access = PolicyAccess(
                 req.pc, req.addr, req.core, req.rtype, prefetch_fill,
-                entry.pmc, entry.mlp_cost, entry.is_pure, instr_during)
+                entry.pmc, entry.mlp_cost, entry.is_pure)
 
         way = -1
         if self._valid_count[set_idx] < self._ways:

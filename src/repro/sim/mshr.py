@@ -28,7 +28,7 @@ class MSHREntry:
     __slots__ = (
         "block", "primary", "issue_time", "core", "waiters", "rfo",
         "pmc", "mlp_cost", "is_pure", "hit_miss_overlap",
-        "prefetch_only", "instr_at_issue",
+        "prefetch_only",
     )
 
     def __init__(self, block: int, primary: MemRequest, issue_time: int,
@@ -57,7 +57,6 @@ class MSHREntry:
         # --- provenance ---------------------------------------------------
         #: no demand request merged in yet
         self.prefetch_only = rtype == _PREFETCH
-        self.instr_at_issue = 0      # core's instruction count when miss issued
 
     def merge(self, req: MemRequest) -> None:
         """Attach a secondary miss to this entry."""

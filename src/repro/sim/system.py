@@ -121,10 +121,6 @@ class System:
             self.l2s.append(l2)
             self.cores.append(core)
 
-        # Cost-based policies (LACS) read per-core instruction progress.
-        # A bound method, not a lambda, so the wired system stays
-        # picklable for save-states.
-        self.llc.instr_counter = self._core_instr_count
         # Inclusive LLCs back-invalidate the private levels on eviction.
         self.llc.upper_levels = list(self.l1s) + list(self.l2s)
 
@@ -143,9 +139,6 @@ class System:
                            n_cores=n_cores)
 
     # ------------------------------------------------------------------
-    def _core_instr_count(self, core_id: int) -> int:
-        return self.cores[core_id].dispatched_instructions
-
     def _core_warm(self, core: Core) -> None:
         """Reset measurement counters once every core passed its warmup."""
         self._warm += 1

@@ -459,7 +459,7 @@ def test_run_flags_do_not_leak_into_a_later_main_call(sweep_env, tmp_path,
     assert calls == {"sanitize": 1, "checkpoint": 1}   # plain second run
     traces = [p.relative_to(tmp_path).as_posix()
               for p in tmp_path.rglob("*.trace.json")]
-    assert traces == ["obs1/462.libquantum-lru-1c-nopf.trace.json"]
+    assert traces == ["obs1/462.libquantum-lru-1c-nopf-49ca0c14b9f4.trace.json"]
 
 
 def test_store_fsck_validates_manifests(sweep_env, tmp_path, capsys):

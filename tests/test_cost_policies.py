@@ -1,4 +1,4 @@
-"""Cost-based baselines: SBAR (MLP-aware) and LACS."""
+"""Cost-based baseline: SBAR (MLP-aware)."""
 
 import pytest
 
@@ -9,9 +9,8 @@ from repro.policies.sbar import quantize_mlp_cost
 from repro.sim.request import AccessType
 
 
-def acc(pc=0, mlp=0.0, instr=0, rtype=AccessType.LOAD):
-    return PolicyAccess(pc=pc, addr=0, core=0, rtype=rtype,
-                        mlp_cost=mlp, instr_during_miss=instr)
+def acc(pc=0, mlp=0.0, rtype=AccessType.LOAD):
+    return PolicyAccess(pc=pc, addr=0, core=0, rtype=rtype, mlp_cost=mlp)
 
 
 def test_quantize_mlp_cost_levels():
@@ -58,20 +57,3 @@ def test_sbar_writeback_fill_is_cheap():
     pol.on_fill(0, 0, blocks, acc(mlp=999, rtype=AccessType.WRITEBACK))
     assert pol._cost[0][0] == 0
 
-
-def test_lacs_prefers_cheap_miss_victims():
-    pol = make_policy("lacs", sets=1, ways=3, cheap_threshold=50)
-    blocks = [None] * 3
-    pol.on_fill(0, 0, blocks, acc(instr=10))    # core stalled: costly
-    pol.on_fill(0, 1, blocks, acc(instr=200))   # hidden: cheap
-    pol.on_fill(0, 2, blocks, acc(instr=5))     # costly
-    assert pol.find_victim(0, blocks, acc()) == 1
-
-
-def test_lacs_falls_back_to_lru_when_all_costly():
-    pol = make_policy("lacs", sets=1, ways=2, cheap_threshold=50)
-    blocks = [None] * 2
-    pol.on_fill(0, 0, blocks, acc(instr=0))
-    pol.on_fill(0, 1, blocks, acc(instr=0))
-    pol.on_hit(0, 0, blocks, acc())
-    assert pol.find_victim(0, blocks, acc()) == 1

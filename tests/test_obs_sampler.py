@@ -113,3 +113,22 @@ def test_sampler_rejects_bad_interval():
                     measure_records=100, warmup_records=100)
     with pytest.raises(ValueError):
         MetricsSampler(system, 0)
+
+
+def test_points_sharing_a_label_keep_separate_artifacts(tmp_path):
+    """Two points that differ only in records share a label; each keeps
+    its own metrics file, named after the label and its key prefix."""
+    from repro.harness.config import RunConfig
+    from repro.harness.spec import ExperimentSpec
+    specs = [ExperimentSpec(workload="462.libquantum", policy="lru",
+                            n_cores=1, prefetch=False, n_records=n)
+             for n in (200, 300)]
+    assert specs[0].label() == specs[1].label()
+    config = RunConfig(obs=ObsConfig(metrics_interval=500,
+                                     out_dir=str(tmp_path)))
+    for spec in specs:
+        spec.execute(config)
+    names = sorted(p.name for p in tmp_path.glob("*.metrics.json"))
+    assert names == sorted(
+        f"462.libquantum-lru-1c-nopf-{spec.key()[:12]}.metrics.json"
+        for spec in specs)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import simulate_cache
+from repro.harness.campaign import find_campaign, load_campaign
 from repro.policies.base import PolicyAccess
 from repro.policies.dueling import SetDuel
 from repro.policies.lru import LRUPolicy
@@ -28,8 +29,35 @@ def test_registry_contains_all_paper_schemes():
     names = available_policies()
     for required in ("lru", "srrip", "drrip", "ship", "shippp", "sbar",
                      "hawkeye", "glider", "mockingjay", "care", "mcare",
-                     "opt", "lacs", "fifo", "random", "lfu", "brrip"):
+                     "opt", "fifo", "random", "lfu", "brrip"):
         assert required in names, required
+
+
+#: Registered policies that no care-paper.json grid runs, each with the
+#: reason it stays in the registry.
+KEPT_EXTRAS = (
+    ("srrip", "simbench sweep-tiny, perf --sweep, DRRIP's SRRIP half"),
+    ("brrip", "DRRIP's BRRIP half, run alone"),
+    ("drrip", "simbench sweep-tiny and the OPT-bound bench"),
+    ("ship", "SHiP++'s base and the OPT-bound bench"),
+    ("sbar", "Table VI's framework costs"),
+    ("fifo", "the property tests and the OPT bound"),
+    ("lfu", "the property tests"),
+    ("random", "the property tests and the OPT bound"),
+    ("opt", "the property tests and the OPT bound"),
+)
+
+
+def test_every_registered_policy_is_run_or_kept():
+    """The registry holds only policies some figure runs or something
+    else names: a policy nothing uses is deleted, not kept."""
+    campaign = load_campaign(find_campaign(None))
+    run = {p for grid in campaign.grids for p in grid.policies}
+    kept = {name for name, _ in KEPT_EXTRAS}
+    registered = set(available_policies())
+    assert sorted(registered - run - kept) == []
+    assert sorted(kept - registered) == []    # no stale entry
+    assert sorted(kept & run) == []           # no entry a grid covers
 
 
 def test_registry_unknown_name_lists_choices():
