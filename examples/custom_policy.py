@@ -69,7 +69,7 @@ def main() -> None:
     base = None
     for label, policy in [("lru", "lru"), ("pmc_lru", factory),
                           ("care", "care")]:
-        res = simulate([trace.records], cfg=cfg, llc_policy=policy,
+        res = simulate([trace], cfg=cfg, llc_policy=policy,
                        prefetch=True, measure_records=5000,
                        warmup_records=5000, seed=1)
         if base is None:

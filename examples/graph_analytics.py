@@ -51,7 +51,7 @@ def main() -> None:
     rows = []
     base_ipc = None
     for policy in SCHEMES:
-        res = simulate([t.records for t in traces], cfg=cfg,
+        res = simulate(traces, cfg=cfg,
                        llc_policy=policy, prefetch=True,
                        measure_records=args.records // 2,
                        warmup_records=args.records // 2, seed=1)

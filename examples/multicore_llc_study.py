@@ -34,7 +34,7 @@ def main() -> None:
     # IPC_alone: each benchmark on an otherwise idle machine (LRU).
     alone = []
     for slot, trace in enumerate(traces):
-        res = simulate([trace.records], cfg=SystemConfig.default(1),
+        res = simulate([trace], cfg=SystemConfig.default(1),
                        llc_policy="lru", prefetch=True,
                        measure_records=args.records // 2,
                        warmup_records=args.records // 2, seed=1)
@@ -42,11 +42,10 @@ def main() -> None:
         print(f"  core {slot}: {names[slot]:18s} alone IPC {res.ipc[0]:.3f}")
 
     # Shared runs under each scheme.
-    records = [t.records for t in traces]
     runs = {}
     for policy in SCHEMES:
         runs[policy] = simulate(
-            records, cfg=cfg, llc_policy=policy, prefetch=True,
+            traces, cfg=cfg, llc_policy=policy, prefetch=True,
             measure_records=args.records // 2,
             warmup_records=args.records // 2, seed=1)
 

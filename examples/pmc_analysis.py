@@ -45,7 +45,7 @@ def main() -> None:
     show_study_case()
 
     trace = spec_trace(args.workload, n_records=args.records, seed=11)
-    res = simulate([trace.records], cfg=SystemConfig.default(1),
+    res = simulate([trace], cfg=SystemConfig.default(1),
                    llc_policy="lru", prefetch=False,
                    measure_records=args.records // 2,
                    warmup_records=args.records // 2,

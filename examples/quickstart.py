@@ -29,7 +29,7 @@ def main() -> None:
     results = {}
     for policy in ("lru", "care"):
         results[policy] = simulate(
-            [trace.records], cfg=cfg, llc_policy=policy, prefetch=True,
+            [trace], cfg=cfg, llc_policy=policy, prefetch=True,
             measure_records=6000, warmup_records=6000, seed=1)
 
     # 3. Compare.

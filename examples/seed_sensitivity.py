@@ -31,13 +31,12 @@ def main() -> None:
     for seed in range(args.seeds):
         traces = multicopy_traces(args.workload, args.cores, args.records,
                                   seed=100 + seed)
-        records = [t.records for t in traces]
-        base = simulate(records, cfg=cfg, llc_policy="lru", prefetch=True,
+        base = simulate(traces, cfg=cfg, llc_policy="lru", prefetch=True,
                         measure_records=args.records // 2,
                         warmup_records=args.records // 2, seed=seed)
         base_ipc = sum(base.ipc)
         for policy in SCHEMES:
-            res = simulate(records, cfg=cfg, llc_policy=policy,
+            res = simulate(traces, cfg=cfg, llc_policy=policy,
                            prefetch=True,
                            measure_records=args.records // 2,
                            warmup_records=args.records // 2, seed=seed)

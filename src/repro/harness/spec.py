@@ -17,12 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.config import SystemConfig
 from ..sim.stats import SimResult
 
 if TYPE_CHECKING:
+    from ..workloads.trace import Trace
     from .config import RunConfig
 
 #: SystemConfig presets a spec may name (kept as names so specs stay
@@ -149,10 +150,12 @@ class ExperimentSpec:
         return CONFIG_PRESETS[self.preset](self.n_cores)
 
     def build_traces(self, config: Optional["RunConfig"] = None
-                     ) -> List[Sequence]:
-        """Per-core record sequences (2x n_records: warmup + measured),
-        read through the trace cache ``config`` names (without a
-        config, the one ``REPRO_TRACE_CACHE`` names)."""
+                     ) -> List["Trace"]:
+        """One :class:`~repro.workloads.trace.Trace` per core (2x
+        n_records: warmup + measured), read through the trace cache
+        ``config`` names (without a config, the one ``REPRO_TRACE_CACHE``
+        names).  The traces may be shared with the cache's memo: callers
+        must not modify them."""
         from ..workloads.mixes import mixed_workload_traces, multicopy_traces
         from ..workloads.tracecache import USE_DEFAULT_CACHE, trace_cache_for
         cache = (USE_DEFAULT_CACHE if config is None
@@ -165,7 +168,7 @@ class ExperimentSpec:
             traces = multicopy_traces(self.workload, self.n_cores,
                                       2 * self.n_records, seed=self.seed,
                                       suite=self.suite, cache=cache)
-        return [t.records for t in traces]
+        return traces
 
     def execute(self, config: Optional["RunConfig"] = None,
                 notes: Optional[Dict] = None) -> SimResult:

@@ -5,8 +5,9 @@ For a last-level-cache study, what the core model must get right is the
 *shape of memory concurrency*: how many misses a core keeps outstanding, and
 how much compute is available to overlap them.  We model:
 
-* a trace of records ``(pc, addr, is_write, gap)`` where ``gap`` counts the
-  non-memory instructions preceding the access,
+* a trace of records ``(pc, addr, is_write, gap, dep)`` where ``gap``
+  counts the non-memory instructions preceding the access, read from the
+  columns of a :class:`~repro.workloads.trace.Trace`,
 * an issue-width-limited front end: dispatching a record's ``gap + 1``
   instructions advances a fractional front-end clock by ``(gap+1)/width``,
 * a ROB occupancy window in instruction slots with in-order retirement:
@@ -57,7 +58,7 @@ class Core:
     """One core consuming a memory-access trace."""
 
     __slots__ = (
-        "core_id", "engine", "l1", "records", "cfg", "measure_records",
+        "core_id", "engine", "l1", "trace", "cfg", "measure_records",
         "warmup_records", "replay", "start_offset", "on_finish", "on_warm",
         "_idx", "_rob", "_prev_entry", "_rob_occ", "_front_time", "_stopped",
         "dispatched_instructions", "dispatched_records", "retired_records",
@@ -66,20 +67,25 @@ class Core:
     )
 
     def __init__(self, core_id: int, engine: Engine, l1: "Cache",
-                 records: Sequence, cfg: CoreConfig,
+                 records: Sequence[Any], cfg: CoreConfig,
                  measure_records: Optional[int] = None,
                  warmup_records: int = 0,
                  replay: bool = True,
                  start_offset: int = 0,
                  on_finish: Optional[Callable[["Core"], None]] = None,
                  on_warm: Optional[Callable[["Core"], None]] = None) -> None:
+        # Imported here, not at module level: ``repro.workloads`` pulls
+        # in every generator, and ``repro.sim`` stays light to import.
+        from ..workloads.trace import Trace
         self.core_id = core_id
         self.engine = engine
         self.l1 = l1
-        self.records = records
+        #: the trace's columns; a plain record list is packed once, here
+        self.trace = (records if isinstance(records, Trace)
+                      else Trace(f"core{core_id}", records))
         self.cfg = cfg
         self.measure_records = (
-            len(records) if measure_records is None else measure_records)
+            len(self.trace) if measure_records is None else measure_records)
         self.warmup_records = warmup_records
         self.replay = replay
         self.start_offset = start_offset
@@ -103,7 +109,7 @@ class Core:
         self.finished = False
         self.finish_time = 0
 
-        if self.measure_records == 0 or not records:
+        if self.measure_records == 0 or not self.trace:
             self.finished = True
 
         # Shared completion callback: one bound method for every request
@@ -159,8 +165,14 @@ class Core:
         rob_append = self._rob.append
         core_id = self.core_id
         callback = self._complete_callback
-        records = self.records
-        n_records = len(records)
+        trace = self.trace
+        pcs = trace.pc
+        addrs = trace.addr
+        gaps = trace.gap
+        flags = trace.flags
+        write = trace.WRITE
+        dep = trace.DEP
+        n_records = len(flags)
         replay = self.replay
         warmup = self.warmup_records
         measure_end = warmup + self.measure_records
@@ -178,10 +190,12 @@ class Core:
                     if not replay:
                         return
                     idx = 0
-                rec = records[idx]
-                slots = rec.gap + 1
+                slots = gaps[idx] + 1
                 if rob_occ + slots > rob_limit:
                     return              # retirement will re-trigger dispatch
+                flag = flags[idx]
+                addr = addrs[idx]
+                pc = pcs[idx]
                 idx += 1
                 measured = warmup <= dispatched < measure_end
                 dispatched += 1
@@ -196,8 +210,8 @@ class Core:
                 issue_cycle = ceil(front_time)
                 if issue_cycle < now:
                     issue_cycle = now
-                req = MemRequest(rec.addr, rec.pc, core_id,
-                                 _RFO if rec.is_write else _LOAD,
+                req = MemRequest(addr, pc, core_id,
+                                 _RFO if flag & write else _LOAD,
                                  issue_cycle, callback)
                 req.rob_entry = entry
                 if tracer is not None and tracer.take():
@@ -205,7 +219,7 @@ class Core:
                     tracer.span_begin(req, trace_tid, issue_cycle)
                 prev = self._prev_entry
                 self._prev_entry = entry
-                if rec.dep and prev is not None and not prev.done:
+                if flag & dep and prev is not None and not prev.done:
                     # Address-dependent load: the pointer value arrives only
                     # when the previous access completes; hold the issue.
                     if prev.deferred is None:

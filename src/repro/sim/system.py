@@ -36,7 +36,12 @@ _CORE_STAGGER = 17
 
 
 class System:
-    """One simulated machine ready to :meth:`run`."""
+    """One simulated machine ready to :meth:`run`.
+
+    ``traces`` holds one :class:`~repro.workloads.trace.Trace` per core;
+    a plain list of :class:`~repro.workloads.trace.TraceRecord` is packed
+    into one when its core is built.
+    """
 
     __slots__ = ("cfg", "prefetch", "max_events", "engine", "dram",
                  "llc_policy", "monitor", "llc", "l1s", "l2s", "cores",

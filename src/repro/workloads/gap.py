@@ -22,10 +22,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from .graphs import CSRGraph, build_graph, graph_keys
-from .trace import Trace, TraceRecord, make_trace
+from .trace import Trace, TraceRecord
 
 ELEM = 8
 
@@ -41,40 +41,55 @@ def _prop_base(k: int) -> int:
 
 
 class _Tracer:
-    """Emits TraceRecords for array element touches with per-site PCs."""
+    """Emits one access per array-element touch, with a fixed PC per
+    access site: as a :class:`TraceRecord`, or — given ``into`` — appended
+    to that trace's columns (the call then returns ``None``)."""
 
-    def __init__(self, pc_base: int, seed: int) -> None:
+    def __init__(self, pc_base: int, seed: int,
+                 into: Optional[Trace] = None) -> None:
         self.pc_base = pc_base
         self.rng = random.Random(seed ^ 0x6A9)
+        self.into = into
+        if into is not None:
+            self._add_pc, self._add_addr = into.pc.append, into.addr.append
+            self._add_gap = into.gap.append
+            self._add_flags = into.flags.append
 
-    def _gap(self) -> int:
-        return self.rng.randrange(0, 4)
+    def _emit(self, site: int, addr: int,
+              write: bool = False) -> Optional[TraceRecord]:
+        pc = self.pc_base + 4 * site
+        gap = self.rng.randrange(0, 4)
+        if self.into is None:
+            return TraceRecord(pc, addr, write, gap)
+        self._add_pc(pc)
+        self._add_addr(addr)
+        self._add_gap(gap)
+        self._add_flags(Trace.WRITE if write else 0)
+        return None
 
-    def offsets(self, idx: int, site: int = 0) -> TraceRecord:
-        return TraceRecord(self.pc_base + 4 * site,
-                           OFFSETS_BASE + idx * ELEM, False, self._gap())
+    def offsets(self, idx: int, site: int = 0) -> Optional[TraceRecord]:
+        return self._emit(site, OFFSETS_BASE + idx * ELEM)
 
-    def neighbor(self, idx: int, site: int = 1) -> TraceRecord:
-        return TraceRecord(self.pc_base + 4 * site,
-                           NEIGHBORS_BASE + idx * ELEM, False, self._gap())
+    def neighbor(self, idx: int, site: int = 1) -> Optional[TraceRecord]:
+        return self._emit(site, NEIGHBORS_BASE + idx * ELEM)
 
-    def weight(self, idx: int, site: int = 2) -> TraceRecord:
-        return TraceRecord(self.pc_base + 4 * site,
-                           WEIGHTS_BASE + idx * ELEM, False, self._gap())
+    def weight(self, idx: int, site: int = 2) -> Optional[TraceRecord]:
+        return self._emit(site, WEIGHTS_BASE + idx * ELEM)
 
     def prop(self, array: int, idx: int, site: int,
-             write: bool = False) -> TraceRecord:
-        return TraceRecord(self.pc_base + 4 * site,
-                           _prop_base(array) + idx * ELEM, write, self._gap())
+             write: bool = False) -> Optional[TraceRecord]:
+        return self._emit(site, _prop_base(array) + idx * ELEM, write)
 
 
 # ----------------------------------------------------------------------
 # Kernels.  Each is a generator of TraceRecord that *actually computes*
-# its result on the CSR graph while tracing.
+# its result on the CSR graph while tracing; with ``into``, it appends
+# each access to that trace instead and yields ``None``.
 # ----------------------------------------------------------------------
 
 def bfs_records(graph: CSRGraph, source: int, seed: int = 0,
-                result: dict = None) -> Iterator[TraceRecord]:
+                result: dict = None, into: Optional[Trace] = None
+                ) -> Iterator[Optional[TraceRecord]]:
     """Breadth-first search from ``source`` (direction: push).
 
     If ``result`` is supplied, ``result["depth"]`` holds the final depth
@@ -82,7 +97,7 @@ def bfs_records(graph: CSRGraph, source: int, seed: int = 0,
     networkx).
     """
     import numpy as np
-    t = _Tracer(pc_base=0x50_0000, seed=seed)
+    t = _Tracer(0x50_0000, seed, into)
     depth = np.full(graph.n_vertices, -1, dtype=np.int64)
     if result is not None:
         result["depth"] = depth
@@ -108,15 +123,16 @@ def bfs_records(graph: CSRGraph, source: int, seed: int = 0,
 
 
 def pagerank_records(graph: CSRGraph, iterations: int = 20,
-                     seed: int = 0,
-                     result: dict = None) -> Iterator[TraceRecord]:
+                     seed: int = 0, result: dict = None,
+                     into: Optional[Trace] = None
+                     ) -> Iterator[Optional[TraceRecord]]:
     """Pull-style PageRank: each vertex gathers from its in-edges.
 
     (We treat the stored edges as in-edges for the pull, which is how GAP's
     pr kernel walks CSR.)
     """
     import numpy as np
-    t = _Tracer(pc_base=0x51_0000, seed=seed)
+    t = _Tracer(0x51_0000, seed, into)
     n = graph.n_vertices
     rank = np.full(n, 1.0 / n)
     # Each vertex's rank is consumed once per adjacency list that names it,
@@ -143,11 +159,12 @@ def pagerank_records(graph: CSRGraph, iterations: int = 20,
         result["rank"] = rank
 
 
-def cc_records(graph: CSRGraph, seed: int = 0,
-               result: dict = None) -> Iterator[TraceRecord]:
+def cc_records(graph: CSRGraph, seed: int = 0, result: dict = None,
+               into: Optional[Trace] = None
+               ) -> Iterator[Optional[TraceRecord]]:
     """Connected components by label propagation (Shiloach-Vishkin style)."""
     import numpy as np
-    t = _Tracer(pc_base=0x52_0000, seed=seed)
+    t = _Tracer(0x52_0000, seed, into)
     n = graph.n_vertices
     comp = np.arange(n, dtype=np.int64)
     if result is not None:
@@ -180,7 +197,8 @@ def cc_records(graph: CSRGraph, seed: int = 0,
 
 
 def sssp_records(graph: CSRGraph, source: int, seed: int = 0,
-                 result: dict = None) -> Iterator[TraceRecord]:
+                 result: dict = None, into: Optional[Trace] = None
+                 ) -> Iterator[Optional[TraceRecord]]:
     """Single-source shortest paths (Dijkstra with a binary heap).
 
     GAP uses delta-stepping; Dijkstra touches the same arrays (offsets,
@@ -188,7 +206,7 @@ def sssp_records(graph: CSRGraph, source: int, seed: int = 0,
     the cache sees.
     """
     import numpy as np
-    t = _Tracer(pc_base=0x53_0000, seed=seed)
+    t = _Tracer(0x53_0000, seed, into)
     n = graph.n_vertices
     dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     dist[source] = 0
@@ -216,11 +234,12 @@ def sssp_records(graph: CSRGraph, source: int, seed: int = 0,
 
 
 def bc_records(graph: CSRGraph, source: int, seed: int = 0,
-               result: dict = None) -> Iterator[TraceRecord]:
+               result: dict = None, into: Optional[Trace] = None
+               ) -> Iterator[Optional[TraceRecord]]:
     """Betweenness centrality (Brandes, one source): forward BFS computing
     path counts, then dependency accumulation in reverse order."""
     import numpy as np
-    t = _Tracer(pc_base=0x54_0000, seed=seed)
+    t = _Tracer(0x54_0000, seed, into)
     n = graph.n_vertices
     depth = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n, dtype=np.int64)
@@ -307,15 +326,17 @@ def gap_trace(workload: str, n_records: int = 20000, seed: int = 0) -> Trace:
         ) from None
 
     rng = random.Random(seed ^ 0x9A9)
-    records: List[TraceRecord] = []
+    trace = Trace(workload, seed=seed, suite="GAP")
     attempt = 0
-    while len(records) < n_records:
+    while len(trace) < n_records:
         if alg in _SOURCED:
             source = rng.randrange(graph.n_vertices)
-            gen = kernel(graph, source, seed=seed + attempt)
+            gen = kernel(graph, source, seed=seed + attempt, into=trace)
         else:
-            gen = kernel(graph, seed=seed + attempt)
-        records.extend(itertools.islice(gen, n_records - len(records)))
+            gen = kernel(graph, seed=seed + attempt, into=trace)
+        # each step appends one access, so this stops at n_records
+        for _ in itertools.islice(gen, n_records - len(trace)):
+            pass
         attempt += 1
         if attempt > 64:
             raise RuntimeError(
@@ -325,6 +346,5 @@ def gap_trace(workload: str, n_records: int = 20000, seed: int = 0) -> Trace:
     # multi-copy runs model separate processes with private graph copies.
     offset = ((seed * 2654435761) & 0x3F) << 36
     if offset:
-        records = [rec._replace(addr=rec.addr + offset) for rec in records]
-    trace = make_trace(workload, records, seed=seed, suite="GAP")
+        trace.shift(offset)
     return trace

@@ -2,10 +2,21 @@
 
 Two on-disk formats:
 
-* **Native format** (``.rtrc`` / ``.rtrc.gz``): a compact little-endian
-  binary of this library's :class:`~repro.workloads.trace.TraceRecord`
-  stream, with a JSON header carrying name/seed/suite metadata.  Use this
-  to generate once and re-run many policy sweeps bit-identically.
+* **Native format** (``.rtrc`` / ``.rtrc.gz``, version 3): the four
+  columns of a :class:`~repro.workloads.trace.Trace` as little-endian
+  blobs behind a JSON header carrying name/seed/suite metadata::
+
+      b"RTRC" | u16 version | u32 header length | header JSON
+      | pc: n x u64 | addr: n x u64 | gap: n x u16 | flags: n x u8
+
+  ``flags`` holds bit 0 (write) and bit 1 (dep).  A column is read back
+  with one ``frombytes``, and ``.gz`` files use gzip level 1, so a trace
+  costs milliseconds to save and load.  Use this to generate once and
+  re-run many policy sweeps bit-identically.  Gaps are 16-bit on disk:
+  :func:`encode_trace` refuses a gap above :data:`MAX_GAP` with a
+  ``ValueError`` naming the record, rather than clamping it.  A file of
+  another version (v2 held one 19-byte struct per record) is refused
+  with a ``ValueError`` that names its version.
 * **ChampSim importer**: reads the fixed-size input records of the ChampSim
   simulator the paper evaluates on (64-byte ``trace_instr`` structs: ip,
   branch fields, destination/source registers, destination/source memory
@@ -19,15 +30,28 @@ import gzip
 import io
 import json
 import struct
+import sys
+from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Union
+from typing import BinaryIO, Iterable, Union
 
-from .trace import Trace, TraceRecord, make_trace
+from .trace import Trace
 
 _MAGIC = b"RTRC"
-_VERSION = 2
-#: per record: pc, addr (u64), flags (u8: bit0 write, bit1 dep), gap (u16)
-_RECORD = struct.Struct("<QQBH")
+_VERSION = 3
+#: magic, then u16 version and u32 header length
+_PREAMBLE = struct.Struct("<4sHI")
+#: ``.gz`` compression level: the trace cache writes every trace it
+#: generates, and gzip's default level 9 spends far more time than the
+#: bytes it saves are worth
+_COMPRESS_LEVEL = 1
+#: largest gap the format stores (its gap column is u16)
+MAX_GAP = 0xFFFF
+#: on-disk column types, in file order; ``gap`` widens to the in-memory
+#: ``array('I')`` on load
+_DISK_TYPES = ("Q", "Q", "H", "B")
+#: columns are little-endian on disk
+_SWAP = sys.byteorder != "little"
 
 
 # ----------------------------------------------------------------------
@@ -42,20 +66,36 @@ def _open_read(path: Path) -> BinaryIO:
     return open(path, "rb")
 
 
+def _narrow_gaps(trace: Trace) -> array:
+    """``trace.gap`` as the on-disk u16 column, or ``ValueError`` naming
+    the first record whose gap does not fit."""
+    try:
+        return array("H", trace.gap)
+    except OverflowError:
+        i = next(i for i, gap in enumerate(trace.gap) if gap > MAX_GAP)
+        raise ValueError(
+            f"{trace.name}: record {i} {trace[i]} has a gap above "
+            f"{MAX_GAP}, which the trace format cannot store") from None
+
+
 def encode_trace(trace: Trace, compress: bool = True) -> bytes:
     """``trace`` in the native binary format, gzipped unless
     ``compress`` is false (``mtime=0``: the bytes depend only on the
-    trace)."""
+    trace).  ``ValueError`` if a gap exceeds :data:`MAX_GAP`."""
+    columns = [trace.pc, trace.addr, _narrow_gaps(trace), trace.flags]
+    if _SWAP:
+        columns = [array(col.typecode, col) for col in columns]
+        for col in columns:
+            col.byteswap()
     header = json.dumps({
         "name": trace.name, "seed": trace.seed, "suite": trace.suite,
-        "records": len(trace.records),
+        "records": len(trace),
     }).encode()
-    raw = bytearray(_MAGIC + struct.pack("<HI", _VERSION, len(header))
-                    + header)
-    for rec in trace.records:
-        flags = (1 if rec.is_write else 0) | (2 if rec.dep else 0)
-        raw += _RECORD.pack(rec.pc, rec.addr, flags, min(rec.gap, 0xFFFF))
-    return gzip.compress(raw, mtime=0) if compress else bytes(raw)
+    raw = b"".join([_PREAMBLE.pack(_MAGIC, _VERSION, len(header)), header]
+                   + [col.tobytes() for col in columns])
+    if compress:
+        return gzip.compress(raw, compresslevel=_COMPRESS_LEVEL, mtime=0)
+    return raw
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -66,34 +106,34 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace`."""
-    path = Path(path)
-    with _open_read(path) as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a native trace file")
-        version, header_len = struct.unpack("<HI", fh.read(6))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported trace version {version}")
-        meta = json.loads(fh.read(header_len))
-        records: List[TraceRecord] = []
-        expected = meta["records"]
-        while True:
-            chunk = fh.read(_RECORD.size)
-            if not chunk:
-                break
-            if len(chunk) != _RECORD.size:
-                raise ValueError(f"{path}: truncated record stream")
-            pc, addr, flags, gap = _RECORD.unpack(chunk)
-            records.append(TraceRecord(
-                pc=pc, addr=addr, is_write=bool(flags & 1), gap=gap,
-                dep=bool(flags & 2)))
-    if len(records) != expected:
-        raise ValueError(
-            f"{path}: header promises {expected} records, found "
-            f"{len(records)}")
-    trace = make_trace(meta["name"], records, seed=meta["seed"],
-                       suite=meta["suite"])
-    return trace
+    raw = Path(path).read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    if len(raw) < _PREAMBLE.size or raw[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a native trace file")
+    _magic, version, header_len = _PREAMBLE.unpack_from(raw)
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported trace version {version} "
+                         f"(this reader takes version {_VERSION})")
+    pos = _PREAMBLE.size + header_len
+    meta = json.loads(raw[_PREAMBLE.size:pos])
+    n = meta["records"]
+    columns = [array(code) for code in _DISK_TYPES]
+    size = pos + n * sum(col.itemsize for col in columns)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated or padded: the header "
+                         f"promises {n} records ({size} bytes), found "
+                         f"{len(raw)} bytes")
+    view = memoryview(raw)
+    for col in columns:
+        end = pos + n * col.itemsize
+        col.frombytes(view[pos:end])
+        if _SWAP:
+            col.byteswap()
+        pos = end
+    pc, addr, gap, flags = columns
+    return Trace.from_columns(meta["name"], pc, addr, array("I", gap),
+                              flags, seed=meta["seed"], suite=meta["suite"])
 
 
 # ----------------------------------------------------------------------
@@ -143,10 +183,10 @@ def read_champsim_trace(source: Union[str, Path, bytes, BinaryIO],
         fh = source
         close = False
 
-    records: List[TraceRecord] = []
+    trace = Trace(name, suite="champsim")
     gap = 0
     try:
-        while True:
+        while max_records is None or len(trace) < max_records:
             chunk = fh.read(CHAMPSIM_RECORD.size)
             if not chunk:
                 break
@@ -156,23 +196,16 @@ def read_champsim_trace(source: Union[str, Path, bytes, BinaryIO],
             ip = fields[0]
             dmem = fields[8:8 + NUM_INSTR_DESTINATIONS]
             smem = fields[8 + NUM_INSTR_DESTINATIONS:]
-            touched = False
-            for addr in smem:
-                if addr:
-                    records.append(TraceRecord(ip, addr, False, gap))
-                    gap = 0
-                    touched = True
-            for addr in dmem:
-                if addr:
-                    records.append(TraceRecord(ip, addr, True, gap))
-                    gap = 0
-                    touched = True
-            if not touched:
+            operands = ([(addr, False) for addr in smem if addr]
+                        + [(addr, True) for addr in dmem if addr])
+            if not operands:
                 gap += 1
-            if max_records is not None and len(records) >= max_records:
-                records = records[:max_records]
-                break
+            for addr, is_write in operands:
+                if max_records is not None and len(trace) >= max_records:
+                    break
+                trace.append(ip, addr, is_write, gap)
+                gap = 0
     finally:
         if close:
             fh.close()
-    return make_trace(name, records, suite="champsim")
+    return trace

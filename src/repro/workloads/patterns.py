@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .trace import Trace, TraceRecord, make_trace
+from .trace import Trace
 from ..sim.config import BLOCK_SIZE
 
 #: element size used when walking arrays (8-byte doubles / pointers)
@@ -308,15 +308,20 @@ class WorkloadMix:
         return min(g, 64)
 
     def generate(self, n_records: int, seed: Optional[int] = None) -> Trace:
-        rng = random.Random(self.seed if seed is None else seed)
-        records = []
+        if seed is None:
+            seed = self.seed
+        rng = random.Random(seed)
+        trace = Trace(self.name, seed=seed)
+        add_pc, add_addr = trace.pc.append, trace.addr.append
+        add_gap, add_flags = trace.gap.append, trace.flags.append
+        write, dep_load = Trace.WRITE, Trace.DEP
+        pick, draw_gap = self._pick, self._gap
+        steps = [part.pattern.step for part in self.parts]
         for _ in range(n_records):
-            i = self._pick(rng)
-            part = self.parts[i]
-            pc_off, elem_idx, is_write, dep = part.pattern.step(rng)
-            addr = self._region_base[i] + elem_idx * ELEM
-            pc = self._pc_base[i] + 4 * pc_off
-            records.append(TraceRecord(pc=pc, addr=addr, is_write=is_write,
-                                       gap=self._gap(rng), dep=dep))
-        return make_trace(self.name, records,
-                          seed=self.seed if seed is None else seed)
+            i = pick(rng)
+            pc_off, elem_idx, is_write, dep = steps[i](rng)
+            add_pc(self._pc_base[i] + 4 * pc_off)
+            add_addr(self._region_base[i] + elem_idx * ELEM)
+            add_gap(draw_gap(rng))
+            add_flags((write if is_write else 0) | (dep_load if dep else 0))
+        return trace

@@ -12,12 +12,14 @@ It is a :class:`~repro.durable.ContentStore`, like the result store:
 the **key** hashes the generation parameters (:func:`trace_key`), the
 **namespace** the workload-generator sources plus ``sim/config.py``
 (whose ``BLOCK_SIZE`` shapes addresses), and entries are the native
-``.rtrc.gz`` format of :mod:`repro.workloads.io`, so a torn or
-bit-flipped entry is quarantined and regenerated.
+``.rtrc.gz`` format (version 3) of :mod:`repro.workloads.io`: the
+trace's four columns as blobs, gzip level 1, decoded with one
+``frombytes`` per column.  A torn or bit-flipped entry is quarantined
+and regenerated.
 
-Byte-identity contract: a cached trace must round-trip *exactly* —
-:func:`repro.workloads.io.save_trace` clamps ``gap`` to 16 bits, so any
-record the format cannot represent losslessly makes the trace
+Byte-identity contract: a cached trace must round-trip *exactly*.  The
+format stores ``gap`` in 16 bits and its writer refuses a larger gap
+rather than clamping it, so a trace with a gap above :data:`MAX_GAP` is
 uncacheable (generated fresh every time) rather than subtly different.
 The golden-equivalence suite pins this: fixtures reproduce byte-for-byte
 with the cache cold, warm, and disabled.
@@ -40,17 +42,13 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..durable import ContentStore, source_fingerprint
-from .io import encode_trace, load_trace
+from .io import MAX_GAP, encode_trace, load_trace
 from .trace import Trace
 
 log = logging.getLogger(__name__)
 
 #: trace-key schema — bump when key semantics change
 KEY_VERSION = 1
-
-#: max gap value the native format stores losslessly (u16)
-MAX_GAP = 0xFFFF
-_MAX_U64 = (1 << 64) - 1
 
 #: in-process memo entries kept per cache (FIFO).  Sized for a sweep's
 #: working set (one workload tuple is reused across a whole policy
@@ -77,16 +75,6 @@ def trace_key(kind: str, name: str, n_records: int, seed: int,
          "n_records": n_records, "seed": seed, "scale": scale},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _representable(trace: Trace) -> bool:
-    """True when the native format round-trips ``trace`` losslessly."""
-    for rec in trace.records:
-        if not (0 <= rec.gap <= MAX_GAP):
-            return False
-        if not (0 <= rec.pc <= _MAX_U64 and 0 <= rec.addr <= _MAX_U64):
-            return False
-    return True
 
 
 class TraceCache(ContentStore):
@@ -132,7 +120,7 @@ class TraceCache(ContentStore):
         represent the trace losslessly — caching such a trace would
         break result byte-identity, which outranks throughput.
         """
-        if not _representable(trace):
+        if max(trace.gap, default=0) > MAX_GAP:
             log.debug("trace %s not representable losslessly; not cached",
                       trace.name)
             return None
