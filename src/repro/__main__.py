@@ -297,8 +297,8 @@ def _cmd_run(args) -> int:
     import json
 
     from .analysis import format_table
-    from .harness import ExperimentSpec, run_many
-    from .harness.runner import USE_DEFAULT_STORE
+    from .harness.runner import USE_DEFAULT_STORE, run_many
+    from .harness.spec import ExperimentSpec
     from .workloads import gap_workload_names, serve_names
 
     if args.workload in gap_workload_names():

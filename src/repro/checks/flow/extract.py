@@ -586,28 +586,41 @@ def _extract_class(node: ast.ClassDef, module: str, path: str,
                                        module_funcs, imported,
                                        class_name=node.name)
             cls.methods[stmt.name] = method
+            _mine_param_assigns(stmt, cls)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
                                                             ast.Name):
             ann = _annotation_name(stmt.annotation)
             if ann:
                 cls.attr_types.setdefault(stmt.target.id, []).append(
                     ("name", ann))
-    # attribute types + stored bound methods from every method body
-    for method in cls.methods.values():
-        _collect_self_assignments(cls, method, module, path)
     return cls
 
 
-def _collect_self_assignments(cls: ClassFacts, method: FunctionFacts,
-                              module: str, path: str) -> None:
-    """Mine ``self.x = Foo(...)`` / ``self.x = self.m`` patterns."""
-    # Re-walk is avoided: the body walker already recorded local facts,
-    # but self.* targets need the raw AST, so parse lazily per class —
-    # instead we record them during extraction via refs/calls pairing.
-    # (Populated by _extract_module, which has the AST at hand.)
+def _mine_param_assigns(node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+                        cls: ClassFacts) -> None:
+    """``self.x = param`` gives ``x`` the type of ``param``'s annotation
+    (``Cache.__init__(..., policy: "ReplacementPolicy")`` types
+    ``self.policy``)."""
+    args = node.args
+    params = {arg.arg: _annotation_name(arg.annotation)
+              for arg in args.posonlyargs + args.args + args.kwonlyargs}
+    for child in ast.walk(node):
+        if not (isinstance(child, ast.Assign)
+                and isinstance(child.value, ast.Name)):
+            continue
+        ann = params.get(child.value.id)
+        if not ann:
+            continue
+        for target in child.targets:
+            if (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                cls.attr_types.setdefault(target.attr, []).append(
+                    ("name", ann))
 
 
 def _mine_self_assigns(node: ast.ClassDef, cls: ClassFacts) -> None:
+    """Mine ``self.x = Foo(...)`` / ``self.x = self.m`` patterns."""
     for child in ast.walk(node):
         if not isinstance(child, (ast.Assign, ast.AnnAssign)):
             continue

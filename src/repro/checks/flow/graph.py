@@ -5,13 +5,15 @@ resolves their descriptors into edges between function qualnames:
 
 * direct calls and module-function references,
 * ``self.m()`` through the class MRO (bases resolved by name within
-  the project),
+  the project) plus every subclass override,
 * calls through *stored bound methods* (``self._cb = self._fill`` then
   ``self._cb(...)`` — the PR 2 hot-path callback idiom),
 * attribute calls through inferred receiver types (constructor
   assignments ``self.x = Foo(...)``, parameter/attribute annotations,
-  ``v = Foo(...)`` locals, and ``v = Cls.from_dict(...)`` classmethod
-  constructors),
+  ``self.x = param`` of an annotated parameter, ``v = Foo(...)`` and
+  ``v = self.x`` locals, and ``v = Cls.from_dict(...)`` classmethod
+  constructors), linked to the MRO hit plus every project subclass
+  override, since the receiver may be any subclass,
 * registry indirection: decorator registries (via the
   ``REGISTRY_RESOLVERS`` manifest),
 * a capped *name fallback* for attribute calls whose receiver type is
@@ -90,6 +92,14 @@ class ProjectIndex:
                     self.functions[meth.qualname] = meth
                     self.methods_by_name.setdefault(
                         name, []).append(meth.qualname)
+        #: class qualname -> the project classes that list it as a base
+        self.subclasses: Dict[str, List[ClassFacts]] = {}
+        for cls in self.classes.values():
+            for base_desc in cls.bases:
+                base = self.resolve_class_desc(base_desc,
+                                               self.modules[cls.module])
+                if base is not None:
+                    self.subclasses.setdefault(base.qualname, []).append(cls)
 
     # -- class / method resolution --------------------------------------
     def resolve_class_desc(self, desc: Desc,
@@ -157,6 +167,23 @@ class ProjectIndex:
                 if found is not None:
                     return found
         return None
+
+    def overrides(self, cls: ClassFacts, name: str) -> List[str]:
+        """Qualnames of method ``name`` in every project subclass of
+        ``cls`` that defines it (a call on a ``cls``-typed value may
+        dispatch to any of them)."""
+        found: List[str] = []
+        seen = {cls.qualname}
+        frontier = [cls]
+        while frontier:
+            for sub in self.subclasses.get(frontier.pop().qualname, ()):
+                if sub.qualname in seen:
+                    continue
+                seen.add(sub.qualname)
+                frontier.append(sub)
+                if name in sub.methods:
+                    found.append(sub.methods[name].qualname)
+        return sorted(found)
 
     def constructor_targets(self, cls: ClassFacts) -> List[str]:
         init = self.resolve_method(cls, "__init__")
@@ -310,10 +337,7 @@ class _Resolver:
             if cls is None:
                 return []
             method = desc[1]
-            out: List[Tuple[str, bool]] = []
-            resolved = index.resolve_method(cls, method)
-            if resolved is not None:
-                out.append((resolved, False))
+            out = self._dispatch(cls, method)
             for stored in cls.stored_methods.get(method, ()):
                 hit = index.resolve_method(cls, stored)
                 if hit is not None:
@@ -330,9 +354,7 @@ class _Resolver:
             for type_desc in cls.attr_types.get(attr, ()):
                 owner = self._value_class(type_desc, mod)
                 if owner is not None:
-                    hit = index.resolve_method(owner, method)
-                    if hit is not None:
-                        out.append((hit, False))
+                    out.extend(self._dispatch(owner, method))
             if not out and allow_fallback:
                 return self._fallback(method)
             return out
@@ -341,12 +363,15 @@ class _Resolver:
             var, method = desc[1], desc[2]
             out = []
             type_desc = fn.var_types.get(var)
+            alias = fn.var_funcs.get(var)
             if type_desc is not None:
                 owner = self._value_class(type_desc, mod)
                 if owner is not None:
-                    hit = index.resolve_method(owner, method)
-                    if hit is not None:
-                        out.append((hit, False))
+                    out.extend(self._dispatch(owner, method))
+            elif alias is not None and alias[0] == "self":
+                # ``policy = self.policy`` then ``policy.on_fill(...)``
+                return self.targets(("self_attr", alias[1], method), fn,
+                                    mod, cls, allow_fallback, seen)
             if not out and allow_fallback:
                 return self._fallback(method)
             return out
@@ -381,6 +406,16 @@ class _Resolver:
             return []
 
         return []
+
+    def _dispatch(self, owner: ClassFacts,
+                  method: str) -> List[Tuple[str, bool]]:
+        """Exact targets of ``method`` on an ``owner``-typed value: the
+        MRO hit plus every subclass override."""
+        targets = self.index.overrides(owner, method)
+        hit = self.index.resolve_method(owner, method)
+        if hit is not None:
+            targets = [hit] + targets
+        return _exact(targets)
 
     def _value_class(self, type_desc: Desc,
                      mod: ModuleFacts) -> Optional[ClassFacts]:

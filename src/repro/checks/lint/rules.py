@@ -239,6 +239,12 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.core.care.CAREPolicy.on_hit",
     "repro.core.care.CAREPolicy._train_hit",
     "repro.core.care.CAREPolicy.on_evict",
+    "repro.core.care.CAREPolicy.on_fill",
+    "repro.core.care.CAREPolicy.cost_signal",
+    "repro.core.mcare.MCAREPolicy.cost_signal",
+    "repro.core.dtrm.DTRM.observe",
+    "repro.core.dtrm.DTRM.quantize",
+    "repro.core.dtrm.DTRM._end_period",
     "repro.core.pmc.pmc_bin",
     "repro.core.pmc._CoreMonitor.accrue",
     "repro.core.pmc._CoreMonitor.finish_miss",
@@ -256,6 +262,8 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.core.sht.SignatureHistoryTable.rc_decrement",
     "repro.core.sht.SignatureHistoryTable.pd_increment",
     "repro.core.sht.SignatureHistoryTable.pd_decrement",
+    "repro.core.sht.SignatureHistoryTable.pd",
+    "repro.core.sht.SignatureHistoryTable.cost_class",
 })
 
 #: Modules allowed to touch the raw event queue (SS204): the engine owns

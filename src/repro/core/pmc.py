@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..sim.engine import Engine
 from ..sim.mshr import MSHREntry
@@ -224,7 +224,8 @@ class ConcurrencyMonitor:
         self.n_cores = n_cores
         self._cores = [_CoreMonitor(c, collect_deltas) for c in range(n_cores)]
         self._post = engine.post
-        self._base_end_cb = self._base_end
+        #: ``None`` once :meth:`release` ran
+        self._base_end_cb: Any = self._base_end
 
     # ------------------------------------------------------------------
     # Hooks called by the cache
@@ -297,6 +298,14 @@ class ConcurrencyMonitor:
             mon.accrue(self.engine.now)
             mon.stats = CoreConcurrencyStats()
             mon.pmc_deltas.clear()
+
+    def release(self) -> None:
+        """Drop the cached self-callback and the misses still
+        outstanding at the end of a completed run; the statistics stay
+        readable."""
+        self._base_end_cb = None
+        for mon in self._cores:
+            mon.misses.clear()
 
     def core_stats(self, core: int) -> CoreConcurrencyStats:
         return self._cores[core].stats

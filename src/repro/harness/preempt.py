@@ -206,9 +206,12 @@ class CheckpointPolicy:
                           if self.every_secs else None)
 
     def uninstall(self) -> None:
+        """Unregister and drop the link to the system (which links
+        back through :attr:`System.checkpoint`)."""
         if self._installed and self.system is not None:
             self.system.engine.remove_watcher(self._tick)
             self._installed = False
+        self.system = None
 
     # -- the watcher ----------------------------------------------------
     def _tick(self) -> None:

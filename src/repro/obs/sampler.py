@@ -20,7 +20,7 @@ within one poll quantum.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .schema import MetricsTable
 
@@ -46,7 +46,7 @@ class MetricsSampler:
         self.engine = system.engine
         self.interval = int(interval)
         self.event_poll = int(event_poll)
-        self._poll_cb = self.poll
+        self._poll_cb: Optional[Callable[[], None]] = self.poll
         self._next = ((self.engine.now // self.interval) + 1) * self.interval
         self._last_cycle = -1
 
@@ -100,7 +100,13 @@ class MetricsSampler:
         return self
 
     def uninstall(self) -> None:
-        self.engine.remove_watcher(self._poll_cb)
+        """Unregister and drop every link into the system, so a finished
+        machine is freed by reference counting; :attr:`table` stays."""
+        if self.engine is not None:
+            self.engine.remove_watcher(self._poll_cb)
+        self.system = self.engine = self.dtrm = self._poll_cb = None
+        self.cores = []
+        self.caches = []
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -213,9 +213,9 @@ class Cache:
         self._pending: Deque[MemRequest] = deque()
         # Bound methods cached once: ``self._lookup`` in ``access`` (and the
         # fill callback per miss) would otherwise allocate a fresh bound
-        # method per request.
-        self._fill_cb = self._fill_from_child
-        self._lookup_cb = self._lookup
+        # method per request.  ``None`` once :meth:`release` ran.
+        self._fill_cb: Any = self._fill_from_child
+        self._lookup_cb: Any = self._lookup
         self._post = engine.post
         #: optional :class:`repro.obs.tracer.ChromeTracer`; every hook
         #: below guards on ``req.trace`` (False unless the tracer sampled
@@ -571,6 +571,15 @@ class Cache:
         )
         self.prefetcher.issued += 1
         self.access(preq)
+
+    def release(self) -> None:
+        """Drop the cached self-callbacks and the misses still in flight
+        at the end of a completed run; their requests' callbacks point
+        at the level above.  The tag array and stats stay readable."""
+        self._fill_cb = None
+        self._lookup_cb = None
+        self.mshr._entries.clear()
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Introspection (tests, debugging)

@@ -114,8 +114,9 @@ class Core:
 
         # Shared completion callback: one bound method for every request
         # (the request carries its ROB entry) instead of a closure per
-        # dispatched record.
-        self._complete_callback = self._complete_cb
+        # dispatched record.  ``None`` once :meth:`release` ran.
+        self._complete_callback: Optional[
+            Callable[[MemRequest, int], None]] = self._complete_cb
 
         # Optional event tracer (repro.obs): the core is where a request
         # lifecycle is sampled; ``None`` keeps dispatch untraced.
@@ -134,6 +135,14 @@ class Core:
     def stop(self) -> None:
         """Stop dispatching new work (all cores' measured regions done)."""
         self._stopped = True
+
+    def release(self) -> None:
+        """Drop the cached completion callback and the ROB at the end of
+        a completed run: deferred requests in it call back into this
+        core.  The retirement counters stay readable."""
+        self._complete_callback = None
+        self._rob.clear()
+        self._prev_entry = None
 
     # ------------------------------------------------------------------
     @property

@@ -125,3 +125,7 @@ class DRAM:
         # ``done > now`` always (positive array/burst latencies): safe for
         # the unchecked fast-path scheduler.
         self.engine.post(done, req.respond, done, self.name)
+
+    def release(self) -> None:
+        """Nothing to drop: in-flight reads wait only in the engine's
+        calendar, which :meth:`Engine.release` clears."""

@@ -208,6 +208,16 @@ class Engine:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
+    def release(self) -> None:
+        """Drop the events still queued at the end of a completed run.
+
+        They hold bound methods and requests of every component, which
+        would keep the finished machine in reference cycles.  ``now``
+        and ``events_processed`` stay readable.
+        """
+        self._buckets.clear()
+        self._times.clear()
+
     @property
     def pending(self) -> int:
         """Number of events still queued.

@@ -119,6 +119,14 @@ class FRFCFSController:
                                                  len(ch.read_q))
         self._issue(ch_idx)
 
+    def release(self) -> None:
+        """Drop the requests still queued at the end of a completed run;
+        their callbacks point back up the hierarchy."""
+        for ch in self._channels:
+            ch.read_q.clear()
+            ch.write_q.clear()
+            ch.pending_reads.clear()
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

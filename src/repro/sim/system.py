@@ -46,7 +46,8 @@ class System:
     __slots__ = ("cfg", "prefetch", "max_events", "engine", "dram",
                  "llc_policy", "monitor", "llc", "l1s", "l2s", "cores",
                  "_finished", "_warm", "warmup_records", "sanitize",
-                 "sanitizer", "obs", "sampler", "tracer", "checkpoint")
+                 "sanitizer", "obs", "sampler", "tracer", "checkpoint",
+                 "_released")
 
     def __init__(self, cfg: SystemConfig, traces: Sequence[Sequence],
                  llc_policy: Union[str, PolicyFactory] = "lru",
@@ -76,6 +77,7 @@ class System:
         #: optional :class:`~repro.harness.preempt.CheckpointPolicy`;
         #: installs last in :meth:`run` and travels inside save-states
         self.checkpoint = checkpoint
+        self._released = False
         self.engine = Engine()
 
         # Memory side ------------------------------------------------------
@@ -186,6 +188,15 @@ class System:
     def run(self) -> SimResult:
         """Run to completion of every core's measured region.
 
+        A system runs once.  A completed run releases the machine: the
+        events still queued, the requests in flight and the cached
+        callbacks that tie the components into reference cycles are
+        dropped, so the system is freed as soon as the caller lets go
+        of it.  The returned result, every stats object, the LLC policy
+        and the cores' counters stay readable; calling :meth:`run` or
+        :meth:`resume` again raises ``RuntimeError``.  A run that raises
+        keeps its state for the caller's report.
+
         With ``sanitize=True``, invariants are swept every
         :data:`~repro.checks.sanitize.DEFAULT_INTERVAL` events and once
         more at the end; a trip raises
@@ -198,6 +209,7 @@ class System:
         :class:`~repro.harness.preempt.PreemptedError`; a system
         restored from such a state continues via :meth:`resume`.
         """
+        self._check_not_released()
         if self.sanitize:
             from ..checks.sanitize import attach_sanitizer
             self.sanitizer = attach_sanitizer(self)
@@ -219,10 +231,18 @@ class System:
         is re-registered here — re-registering would reset countdowns
         and break byte-identity with the uninterrupted run.  The
         checkpoint policy only re-arms its process-local wall clock.
+        Like :meth:`run`, a completed resume releases the machine.
         """
+        self._check_not_released()
         if self.checkpoint is not None:
             self.checkpoint.rearm()
         return self._complete()
+
+    def _check_not_released(self) -> None:
+        if self._released:
+            raise RuntimeError(
+                "this System already ran to completion and released its "
+                "in-flight state; build a new System to run again")
 
     def _complete(self) -> SimResult:
         """Drive the engine to completion and build the result.
@@ -260,7 +280,23 @@ class System:
         if self.obs is not None and self.obs.out_dir is not None:
             from ..obs.schema import write_outputs
             write_outputs(self.obs, self.sampler, self.tracer)
+        self._release()
         return result
+
+    def _release(self) -> None:
+        """Break the reference cycles of the finished machine (see
+        :meth:`run`); reference counting then frees it."""
+        self._released = True
+        self.engine.release()
+        self.monitor.release()
+        self.dram.release()
+        self.llc.upper_levels = []
+        for cache in [self.llc] + self.l1s + self.l2s:
+            cache.release()
+        for core in self.cores:
+            core.on_finish = None
+            core.on_warm = None
+            core.release()
 
     def _result(self) -> SimResult:
         policy_name = getattr(self.llc_policy, "name", type(self.llc_policy).__name__)

@@ -130,6 +130,44 @@ def test_call_graph_exports():
     assert dot.startswith("digraph") and "Engine.run" in dot
 
 
+#: More same-named hooks than the name fallback accepts (12), reached
+#: only through an attribute typed by its constructor parameter.
+HOOKS = "\n".join(
+    ["class Policy:", "    def on_fill(self):", "        return 0", ""]
+    + [f"class P{i}(Policy):\n    def on_fill(self):\n        return {i}\n"
+       for i in range(12)]
+    + ["class Cache:",
+       "    def __init__(self, policy: 'Policy'):",
+       "        self.policy = policy",
+       "",
+       "    def fill(self):",
+       "        self.policy.on_fill()",
+       "",
+       "    def install(self):",
+       "        policy = self.policy",
+       "        policy.on_fill()",
+       ""])
+
+
+def test_typed_attribute_call_resolves_past_the_name_cap():
+    mod = extract_source(HOOKS, module="repro.sim.hooks",
+                         path="repro/sim/hooks.py")
+    graph, index = build_graph([mod])
+    assert len(index.methods_by_name["on_fill"]) == 13
+    expected = ({"repro.sim.hooks.Policy.on_fill"}
+                | {f"repro.sim.hooks.P{i}.on_fill" for i in range(12)})
+    for caller in ("fill", "install"):
+        edges = graph.successors(f"repro.sim.hooks.Cache.{caller}")
+        assert {e.dst for e in edges} == expected
+        assert not any(e.fallback for e in edges)
+
+
+def test_repo_hot_closure_reaches_care_fill_path():
+    hot = run_flow([REPO_SRC]).hot_derived
+    assert "repro.core.care.CAREPolicy.on_fill" in hot
+    assert "repro.core.dtrm.DTRM.observe" in hot
+
+
 # ----------------------------------------------------------------------
 # Fault injection: one seeded bad edit per rule
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@
 """
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -97,3 +98,47 @@ def test_cold_import_loads_neither_numpy_nor_scipy():
     assert early == "", f"loaded by a plain import: {early}"
     # ...and both still load on demand for the code that needs them
     assert late == "numpy,scipy"
+
+
+ONE_POINT = textwrap.dedent("""
+    import sys
+    from repro.harness.spec import ExperimentSpec
+    from repro.sim.backends import build_system
+    spec = ExperimentSpec(workload="429.mcf", policy="care", n_cores=1,
+                          n_records=100, preset="tiny")
+    traces = spec.build_traces()
+    build_system(spec.build_config(), traces, llc_policy=spec.policy,
+                 prefetch=spec.prefetch, seed=spec.seed).run()
+    sweep = ["repro.harness." + m for m in (
+        "campaign", "runner", "supervise", "turbo", "store", "cachesim")]
+    print(",".join(m for m in sweep + ["repro.checks.chaos"]
+                   if m in sys.modules))
+""")
+
+
+def test_one_point_does_not_import_the_sweep_machinery():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+               REPRO_TRACE_CACHE="off", REPRO_RESULT_STORE="off")
+    proc = subprocess.run([sys.executable, "-c", ONE_POINT], cwd=REPO,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
+
+
+def test_every_harness_export_resolves():
+    script = textwrap.dedent("""
+        import json
+        import repro.harness as harness
+        missing = [n for n in harness.__all__
+                   if getattr(harness, n, None) is None]
+        from repro.harness import *  # noqa: F401,F403
+        unbound = sorted(set(harness.__all__) - set(globals()))
+        print(json.dumps([len(harness.__all__), missing, unbound]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [34, [], []]

@@ -1,9 +1,14 @@
 """Full-hierarchy System runs: wiring, warmup, measurement, invariants."""
 
+import collections
+import gc
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 
+from repro.obs.schema import ObsConfig
 from repro.sim import SystemConfig, System, simulate
 from repro.workloads import TraceRecord
 from tests.conftest import build_trace
@@ -153,3 +158,110 @@ def test_simulate_rejects_positional_keyword_conflict(tiny_cfg):
     with pytest.warns(DeprecationWarning):
         with pytest.raises(TypeError, match="multiple values"):
             simulate([_mini_records()], tiny_cfg, cfg=tiny_cfg)
+
+
+# ----------------------------------------------------------------------
+# Lifetime: a completed run releases the machine
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def bfs_traces2():
+    from repro.workloads.mixes import multicopy_traces
+    return multicopy_traces("bfs-or", 2, 600, seed=3, suite="gap",
+                            cache=None)
+
+
+def _bfs_system(traces, policy="care", scheduler="fcfs", **kw):
+    cfg = SystemConfig.default(2)
+    cfg = replace(cfg, dram=replace(cfg.dram, scheduler=scheduler))
+    return System(cfg, traces, llc_policy=policy, prefetch=True, seed=3,
+                  measure_records=300, warmup_records=300, **kw)
+
+
+def _cyclic_garbage(run_point):
+    """Names of the ``repro`` objects that only a cyclic collection
+    frees after ``run_point()`` built, ran and dropped a system.
+
+    ``run_point`` returns a weak reference to the system's monitor,
+    which must already be dead: reference counting alone freed it."""
+    gc.collect()
+    gc.disable()
+    try:
+        monitor = run_point()
+        freed = monitor() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        names = [f"{type(o).__module__}.{type(o).__qualname__}"
+                 for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    garbage = collections.Counter(n for n in names if n.startswith("repro."))
+    assert freed or garbage, "the system is still referenced"
+    return garbage
+
+
+def _checkpoint(tmp_path):
+    from repro.harness.preempt import CheckpointPolicy
+    return CheckpointPolicy(tmp_path / "point.ckpt.gz", spec_key="k",
+                            fingerprint="f", every_events=3000)
+
+
+LEAK_CASES = {
+    **{f"{policy}-{scheduler}": (lambda tmp, p=policy, s=scheduler:
+                                 {"policy": p, "scheduler": s})
+       for policy in ("lru", "care", "hawkeye")
+       for scheduler in ("fcfs", "frfcfs")},
+    "care-sanitized": lambda tmp: {"sanitize": True},
+    "care-observed": lambda tmp: {"obs": ObsConfig(
+        metrics_interval=2000, trace=True, trace_sample=4,
+        out_dir=str(tmp))},
+    "care-checkpointed": lambda tmp: {"checkpoint": _checkpoint(tmp)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAK_CASES))
+def test_finished_system_leaves_no_cyclic_garbage(bfs_traces2, tmp_path,
+                                                  case):
+    def run_point():
+        system = _bfs_system(bfs_traces2, **LEAK_CASES[case](tmp_path))
+        system.run()
+        return weakref.ref(system.monitor)
+
+    assert _cyclic_garbage(run_point) == {}
+    if case == "care-observed":
+        assert len(list(tmp_path.glob("run.*.json"))) == 2
+
+
+def test_resumed_system_leaves_no_cyclic_garbage(bfs_traces2, tmp_path):
+    from repro.harness.preempt import try_restore
+    policy = _checkpoint(tmp_path)
+    expected = _bfs_system(bfs_traces2, checkpoint=policy).run().to_json()
+    assert policy.saves > 0
+
+    def run_point():
+        system, note = try_restore(policy.path, spec_key="k",
+                                   fingerprint="f")
+        assert note is None and system.engine.events_processed > 0
+        assert system.resume().to_json() == expected
+        return weakref.ref(system.monitor)
+
+    assert _cyclic_garbage(run_point) == {}
+
+
+def test_result_stays_readable_after_the_release(bfs_traces2):
+    system = _bfs_system(bfs_traces2, policy="care")
+    result = system.run()
+    assert system._result().to_json() == result.to_json()
+    assert system.llc_policy.stats.insert_high_reuse >= 0
+    assert [c.retired_instructions for c in system.cores] \
+        == result.instructions
+
+
+def test_second_run_or_resume_raises(tiny_cfg):
+    system = System(tiny_cfg, [_mini_records(200)], llc_policy="lru")
+    system.run()
+    with pytest.raises(RuntimeError, match="build a new System"):
+        system.run()
+    with pytest.raises(RuntimeError, match="build a new System"):
+        system.resume()
