@@ -183,7 +183,11 @@ def source_fingerprint(*patterns: str) -> str:
     for path in sorted(paths):
         digest.update(path.relative_to(PKG_ROOT).as_posix().encode())
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        # in chunks: a graph data file is up to 1 MB, and reading it
+        # whole would raise the peak RSS of every process with a cache
+        with open(path, "rb") as fh:
+            for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+                digest.update(chunk)
         digest.update(b"\0")
     return digest.hexdigest()
 

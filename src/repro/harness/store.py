@@ -2,10 +2,11 @@
 
 Each :class:`~repro.harness.spec.ExperimentSpec` is addressed by
 ``sha256(spec canonical JSON)`` *within a directory named by the code
-fingerprint* — a hash over every ``repro`` source file.  Any edit to the
-simulator (or policies, workload generators, ...) therefore lands in a
-fresh namespace and can never serve stale results; old namespaces are
-just directories that ``prune_stale()`` can drop.
+fingerprint* — a hash over every ``repro`` source file and the committed
+graph data.  Any edit to the simulator (or policies, workload generators,
+graphs, ...) therefore lands in a fresh namespace and can never serve
+stale results; old namespaces are just directories that ``prune_stale()``
+can drop.
 
 Layout::
 
@@ -36,9 +37,9 @@ from .spec import ExperimentSpec
 
 
 def code_fingerprint() -> str:
-    """Hash of every ``repro`` package source file (path + contents),
-    computed once per process."""
-    return source_fingerprint("**/*.py")
+    """Hash of every ``repro`` package source file and the committed
+    graph data (path + contents), computed once per process."""
+    return source_fingerprint("**/*.py", "workloads/data/*")
 
 
 def _payload(path: Path) -> Dict[str, Any]:

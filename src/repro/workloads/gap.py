@@ -13,8 +13,9 @@ Each access site uses its own fixed PC, so per-PC behavior is stable — the
 property PC-signature schemes (and CARE) exploit.  Compute gaps between
 accesses are small, matching the low arithmetic intensity of these kernels.
 
-Each kernel imports numpy on entry, so the name tables
-(:func:`gap_algorithms`, :func:`gap_workload_names`) load without it.
+The kernels keep their property arrays in plain lists and read the
+graph's typed columns directly, so generating a GAP trace never imports
+numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .graphs import CSRGraph, build_graph, graph_keys
 from .trace import Trace, TraceRecord
 
 ELEM = 8
+#: sssp's distance to a vertex not (yet) reached: the largest int64
+INF = 2**63 - 1
 
 # Array base addresses: disjoint 1GB-aligned regions.
 OFFSETS_BASE = 0x1_0000_0000
@@ -96,9 +99,9 @@ def bfs_records(graph: CSRGraph, source: int, seed: int = 0,
     array once the generator is exhausted (tests validate it against
     networkx).
     """
-    import numpy as np
     t = _Tracer(0x50_0000, seed, into)
-    depth = np.full(graph.n_vertices, -1, dtype=np.int64)
+    offsets, neighbors = graph.offsets, graph.neighbors
+    depth = [-1] * graph.n_vertices
     if result is not None:
         result["depth"] = depth
     depth[source] = 0
@@ -110,10 +113,9 @@ def bfs_records(graph: CSRGraph, source: int, seed: int = 0,
         for u in frontier:
             yield t.offsets(u, site=0)
             yield t.offsets(u + 1, site=0)
-            start, end = graph.offsets[u], graph.offsets[u + 1]
-            for i in range(start, end):
+            for i in range(offsets[u], offsets[u + 1]):
                 yield t.neighbor(i, site=1)
-                v = int(graph.neighbors[i])
+                v = neighbors[i]
                 yield t.prop(0, v, site=2)              # depth[v] read
                 if depth[v] < 0:
                     depth[v] = level
@@ -131,27 +133,28 @@ def pagerank_records(graph: CSRGraph, iterations: int = 20,
     (We treat the stored edges as in-edges for the pull, which is how GAP's
     pr kernel walks CSR.)
     """
-    import numpy as np
     t = _Tracer(0x51_0000, seed, into)
+    offsets, neighbors = graph.offsets, graph.neighbors
     n = graph.n_vertices
-    rank = np.full(n, 1.0 / n)
+    rank = [1.0 / n] * n
     # Each vertex's rank is consumed once per adjacency list that names it,
     # so dividing by that reference count conserves rank mass (up to
-    # dangling vertices nobody references).
-    degree = np.maximum(np.bincount(graph.neighbors, minlength=n), 1)
+    # dangling vertices nobody references).  A contribution is divided
+    # out where it is read, not precomputed per iteration: an iteration
+    # is 290k-840k accesses on these graphs, far longer than a trace, so
+    # most of a precomputed array would never be read.
+    degree = graph.ref_counts
     for _ in range(iterations):
-        contrib = rank / degree
-        new_rank = np.full(n, 0.15 / n)
+        new_rank = [0.15 / n] * n
         for u in range(n):
             yield t.offsets(u, site=0)
             yield t.offsets(u + 1, site=0)
-            start, end = graph.offsets[u], graph.offsets[u + 1]
             acc = 0.0
-            for i in range(start, end):
+            for i in range(offsets[u], offsets[u + 1]):
                 yield t.neighbor(i, site=1)
-                v = int(graph.neighbors[i])
+                v = neighbors[i]
                 yield t.prop(0, v, site=2)              # contrib[v] read
-                acc += contrib[v]
+                acc += rank[v] / degree[v]
             new_rank[u] += 0.85 * acc
             yield t.prop(1, u, site=3, write=True)      # rank_next[u] write
         rank = new_rank
@@ -163,10 +166,10 @@ def cc_records(graph: CSRGraph, seed: int = 0, result: dict = None,
                into: Optional[Trace] = None
                ) -> Iterator[Optional[TraceRecord]]:
     """Connected components by label propagation (Shiloach-Vishkin style)."""
-    import numpy as np
     t = _Tracer(0x52_0000, seed, into)
+    offsets, neighbors = graph.offsets, graph.neighbors
     n = graph.n_vertices
-    comp = np.arange(n, dtype=np.int64)
+    comp = list(range(n))
     if result is not None:
         result["comp"] = comp
     changed = True
@@ -177,10 +180,9 @@ def cc_records(graph: CSRGraph, seed: int = 0, result: dict = None,
             yield t.offsets(u + 1, site=0)
             yield t.prop(0, u, site=2)                  # comp[u] read
             cu = comp[u]
-            start, end = graph.offsets[u], graph.offsets[u + 1]
-            for i in range(start, end):
+            for i in range(offsets[u], offsets[u + 1]):
                 yield t.neighbor(i, site=1)
-                v = int(graph.neighbors[i])
+                v = neighbors[i]
                 yield t.prop(0, v, site=3)              # comp[v] read
                 if comp[v] < cu:
                     cu = comp[v]
@@ -205,10 +207,9 @@ def sssp_records(graph: CSRGraph, source: int, seed: int = 0,
     neighbors, weights, dist) with the same irregular reuse, which is what
     the cache sees.
     """
-    import numpy as np
     t = _Tracer(0x53_0000, seed, into)
-    n = graph.n_vertices
-    dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    offsets, neighbors, weights = graph.offsets, graph.neighbors, graph.weights
+    dist = [INF] * graph.n_vertices
     dist[source] = 0
     if result is not None:
         result["dist"] = dist
@@ -220,12 +221,11 @@ def sssp_records(graph: CSRGraph, source: int, seed: int = 0,
             continue
         yield t.offsets(u, site=0)
         yield t.offsets(u + 1, site=0)
-        start, end = graph.offsets[u], graph.offsets[u + 1]
-        for i in range(start, end):
+        for i in range(offsets[u], offsets[u + 1]):
             yield t.neighbor(i, site=1)
             yield t.weight(i, site=5)
-            v = int(graph.neighbors[i])
-            nd = d + int(graph.weights[i])
+            v = neighbors[i]
+            nd = d + weights[i]
             yield t.prop(0, v, site=3)                  # dist[v] read
             if nd < dist[v]:
                 dist[v] = nd
@@ -238,12 +238,12 @@ def bc_records(graph: CSRGraph, source: int, seed: int = 0,
                ) -> Iterator[Optional[TraceRecord]]:
     """Betweenness centrality (Brandes, one source): forward BFS computing
     path counts, then dependency accumulation in reverse order."""
-    import numpy as np
     t = _Tracer(0x54_0000, seed, into)
+    offsets, neighbors = graph.offsets, graph.neighbors
     n = graph.n_vertices
-    depth = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.int64)
-    delta = np.zeros(n, dtype=np.float64)
+    depth = [-1] * n
+    sigma = [0] * n
+    delta = [0.0] * n
     if result is not None:
         result["depth"] = depth
         result["sigma"] = sigma
@@ -260,10 +260,9 @@ def bc_records(graph: CSRGraph, source: int, seed: int = 0,
             order.append(u)
             yield t.offsets(u, site=0)
             yield t.offsets(u + 1, site=0)
-            start, end = graph.offsets[u], graph.offsets[u + 1]
-            for i in range(start, end):
+            for i in range(offsets[u], offsets[u + 1]):
                 yield t.neighbor(i, site=1)
-                v = int(graph.neighbors[i])
+                v = neighbors[i]
                 yield t.prop(0, v, site=2)              # depth[v]
                 if depth[v] < 0:
                     depth[v] = level
@@ -276,10 +275,9 @@ def bc_records(graph: CSRGraph, source: int, seed: int = 0,
     for u in reversed(order):                           # backward phase
         yield t.offsets(u, site=0)
         yield t.offsets(u + 1, site=0)
-        start, end = graph.offsets[u], graph.offsets[u + 1]
-        for i in range(start, end):
+        for i in range(offsets[u], offsets[u + 1]):
             yield t.neighbor(i, site=1)
-            v = int(graph.neighbors[i])
+            v = neighbors[i]
             yield t.prop(0, v, site=5)                  # depth[v]
             if depth[v] == depth[u] + 1 and sigma[v] > 0:
                 yield t.prop(1, v, site=6)              # sigma[v]

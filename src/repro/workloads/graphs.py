@@ -1,9 +1,10 @@
-"""Synthetic graph datasets standing in for Table IX (orkut/twitter/urand).
+"""The Table IX graph datasets (orkut/twitter/urand), as committed data.
 
 The paper's GAP runs use orkut (3.1M vertices, social), twitter (61.6M,
 social) and urand (134.2M, uniform random).  Graphs of that size are neither
-available offline nor simulatable at Python speed, so we build seeded
-synthetic graphs with the same *structural contrast* the paper relies on:
+available offline nor simulatable at Python speed, so the package ships
+scaled synthetic stand-ins with the same *structural contrast* the paper
+relies on:
 
 * ``orkut``  — power-law social graph, moderate size, high average degree,
 * ``twitter`` — larger, heavier-tailed power-law (hub-dominated),
@@ -15,29 +16,44 @@ LLC-resident-hostile exactly as in the paper.  Graphs are CSR (offsets +
 neighbors), the representation whose array walks the GAP suite's memory
 behavior comes from.
 
-numpy is imported inside the functions that build or check a graph, never
-at module level, so the name tables (:data:`GRAPH_SPECS`,
-:func:`graph_keys`) load without it.
+Like the paper's graphs, these are fixed datasets: each was built once by
+a seeded builder (seed 7, numpy's ``Generator``; :class:`GraphSpec` holds
+its parameters) and is committed under ``data/`` as ``<full_name>.csr.gz``
+in the column-blob layout of :mod:`repro.workloads.io`, with u32 offsets,
+u16 neighbors and u8 weights.  Loading one is a gzip read and one
+``frombytes`` per column, with no numpy.  The builders live with the
+tests (``tests/graph_reference.py``), which check that the files still
+equal their output and rewrite the files when a graph changes on purpose.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List
+from functools import cached_property, lru_cache
+from itertools import islice
+from pathlib import Path
+from typing import Dict, List, Sequence, Union
 
-if TYPE_CHECKING:
-    import numpy as np
+from .io import pack_columns, unpack_columns
+
+#: the committed graph files
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+_MAGIC = b"RCSR"
+_VERSION = 1
+#: on-disk columns, in file order, with their typecodes
+_COLUMNS = (("offsets", "I"), ("neighbors", "H"), ("weights", "B"))
 
 
 @dataclass(frozen=True)
 class CSRGraph:
-    """Compressed sparse row directed graph with uniform edge weights."""
+    """Compressed sparse row directed graph with small edge weights."""
 
     name: str
-    offsets: np.ndarray      # int64[V+1]
-    neighbors: np.ndarray    # int64[E]
-    weights: np.ndarray      # int64[E], small positive ints (for sssp)
+    offsets: Sequence[int]      # [V+1]
+    neighbors: Sequence[int]    # [E]
+    weights: Sequence[int]      # [E], small positive ints (for sssp)
 
     @property
     def n_vertices(self) -> int:
@@ -51,77 +67,69 @@ class CSRGraph:
     def avg_degree(self) -> float:
         return self.n_edges / self.n_vertices if self.n_vertices else 0.0
 
-    def out_neighbors(self, u: int) -> np.ndarray:
+    def out_neighbors(self, u: int) -> Sequence[int]:
         return self.neighbors[self.offsets[u]:self.offsets[u + 1]]
 
+    @cached_property
+    def ref_counts(self) -> List[int]:
+        """How many adjacency lists name each vertex, at least 1:
+        pagerank's divisor, counted once per graph."""
+        counts = [0] * self.n_vertices
+        for v in self.neighbors:
+            counts[v] += 1
+        return [max(c, 1) for c in counts]
+
     def validate(self) -> None:
-        import numpy as np
-        if self.offsets[0] != 0 or self.offsets[-1] != self.n_edges:
+        offsets = self.offsets
+        if offsets[0] != 0 or offsets[-1] != self.n_edges:
             raise ValueError(f"{self.name}: malformed offsets")
-        if np.any(np.diff(self.offsets) < 0):
+        if len(self.weights) != self.n_edges:
+            raise ValueError(f"{self.name}: {len(self.weights)} weights for "
+                             f"{self.n_edges} edges")
+        if any(a > b for a, b in zip(offsets, islice(offsets, 1, None))):
             raise ValueError(f"{self.name}: offsets not monotone")
-        if self.n_edges and (self.neighbors.min() < 0
-                             or self.neighbors.max() >= self.n_vertices):
+        if self.n_edges and (min(self.neighbors) < 0
+                             or max(self.neighbors) >= self.n_vertices):
             raise ValueError(f"{self.name}: neighbor id out of range")
 
 
-def _csr_from_edges(name: str, n: int, src: np.ndarray, dst: np.ndarray,
-                    rng: np.random.Generator) -> CSRGraph:
-    """Sort an edge list into CSR, dropping self-loops and duplicates."""
-    import numpy as np
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    key = src.astype(np.int64) * n + dst
-    _, unique_idx = np.unique(key, return_index=True)
-    src, dst = src[unique_idx], dst[unique_idx]
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    counts = np.bincount(src, minlength=n)
-    offsets[1:] = np.cumsum(counts)
-    weights = rng.integers(1, 16, size=len(dst), dtype=np.int64)
-    graph = CSRGraph(name=name, offsets=offsets,
-                     neighbors=dst.astype(np.int64), weights=weights)
+def encode_graph(graph: CSRGraph) -> bytes:
+    """``graph`` in the data-file layout, uncompressed (the files are
+    this, gzipped)."""
+    columns = [array(code, getattr(graph, name)) for name, code in _COLUMNS]
+    header = {"name": graph.name,
+              "columns": [[name, code, len(col)] for (name, code), col
+                          in zip(_COLUMNS, columns)]}
+    return pack_columns(_MAGIC, _VERSION, header, columns)
+
+
+def load_graph(path: Union[str, Path]) -> CSRGraph:
+    """Read and validate a graph file written from :func:`encode_graph`."""
+    header, columns = unpack_columns(
+        Path(path).read_bytes(), _MAGIC, _VERSION, path, "graph",
+        lambda meta: [(code, n) for _name, code, n in meta["columns"]])
+    names = [name for name, _code, _n in header["columns"]]
+    graph = CSRGraph(header["name"], **dict(zip(names, columns)))
     graph.validate()
     return graph
 
 
-def _powerlaw_graph(name: str, n: int, avg_degree: int, alpha: float,
-                    seed: int) -> CSRGraph:
-    """Hub-skewed graph: endpoints drawn from a Zipf(alpha) vertex weighting."""
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    prob = ranks ** (-alpha)
-    prob /= prob.sum()
-    perm = rng.permutation(n)             # decouple vertex id from popularity
-    m = n * avg_degree
-    src = perm[rng.choice(n, size=m, p=prob)]
-    dst = perm[rng.choice(n, size=m, p=prob)]
-    return _csr_from_edges(name, n, src, dst, rng)
-
-
-def _uniform_graph(name: str, n: int, avg_degree: int, seed: int) -> CSRGraph:
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    m = n * avg_degree
-    src = rng.integers(0, n, size=m)
-    dst = rng.integers(0, n, size=m)
-    return _csr_from_edges(name, n, src, dst, rng)
-
-
 @dataclass(frozen=True)
 class GraphSpec:
-    """Table IX row: paper-scale stats plus our scaled builder parameters."""
+    """Table IX row: paper-scale stats plus the scaled build parameters."""
 
     key: str                 # paper shorthand: or / tw / ur
     full_name: str
     paper_vertices: str      # as printed in Table IX
     paper_edges: str
     description: str
-    vertices: int            # scaled size we actually build
+    vertices: int            # scaled size of the committed graph
     avg_degree: int
     alpha: float             # 0 = uniform
+
+    @property
+    def path(self) -> Path:
+        return DATA_DIR / f"{self.full_name}.csr.gz"
 
 
 GRAPH_SPECS: Dict[str, GraphSpec] = {
@@ -139,13 +147,10 @@ def graph_keys() -> List[str]:
 
 
 @lru_cache(maxsize=None)
-def build_graph(key: str, seed: int = 7) -> CSRGraph:
-    """Build (and memoize) one of the Table IX stand-in graphs."""
+def build_graph(key: str) -> CSRGraph:
+    """Load (and memoize) one of the Table IX stand-in graphs."""
     try:
         spec = GRAPH_SPECS[key]
     except KeyError:
         raise KeyError(f"unknown graph {key!r}; known: {graph_keys()}") from None
-    if spec.alpha > 0:
-        return _powerlaw_graph(spec.full_name, spec.vertices,
-                               spec.avg_degree, spec.alpha, seed)
-    return _uniform_graph(spec.full_name, spec.vertices, spec.avg_degree, seed)
+    return load_graph(spec.path)

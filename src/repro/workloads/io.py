@@ -17,6 +17,11 @@ Two on-disk formats:
   ``ValueError`` naming the record, rather than clamping it.  A file of
   another version (v2 held one 19-byte struct per record) is refused
   with a ``ValueError`` that names its version.
+
+  The layout is generic — magic, version, a JSON header, then typed
+  little-endian columns — and :func:`pack_columns` / :func:`unpack_columns`
+  also read and write the committed GAP graph files
+  (:mod:`repro.workloads.graphs`).
 * **ChampSim importer**: reads the fixed-size input records of the ChampSim
   simulator the paper evaluates on (64-byte ``trace_instr`` structs: ip,
   branch fields, destination/source registers, destination/source memory
@@ -33,7 +38,8 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Union
+from typing import (Any, BinaryIO, Callable, Dict, Iterable, List,
+                    Sequence, Tuple, Union)
 
 from .trace import Trace
 
@@ -52,6 +58,57 @@ MAX_GAP = 0xFFFF
 _DISK_TYPES = ("Q", "Q", "H", "B")
 #: columns are little-endian on disk
 _SWAP = sys.byteorder != "little"
+
+
+# ----------------------------------------------------------------------
+# Column blobs
+# ----------------------------------------------------------------------
+
+def pack_columns(magic: bytes, version: int, header: Dict[str, Any],
+                 columns: Sequence[array]) -> bytes:
+    """``columns`` behind ``magic``, ``version`` and ``header`` (as
+    JSON), each column's items little-endian, uncompressed."""
+    if _SWAP:
+        columns = [array(col.typecode, col) for col in columns]
+        for col in columns:
+            col.byteswap()
+    meta = json.dumps(header).encode()
+    return b"".join([_PREAMBLE.pack(magic, version, len(meta)), meta]
+                    + [col.tobytes() for col in columns])
+
+
+def unpack_columns(raw: bytes, magic: bytes, version: int, source: Any,
+                   what: str,
+                   layout: Callable[[Dict[str, Any]], Sequence[Tuple[str, int]]]
+                   ) -> Tuple[Dict[str, Any], List[array]]:
+    """The header and columns of a :func:`pack_columns` blob, gzipped or
+    not; ``layout(header)`` gives each column's typecode and length, and
+    each column is read with one ``frombytes``.  ``ValueError`` naming
+    ``source`` on the wrong magic or version, or a size the header does
+    not promise."""
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    if len(raw) < _PREAMBLE.size or raw[:4] != magic:
+        raise ValueError(f"{source}: not a native {what} file")
+    _magic, found, header_len = _PREAMBLE.unpack_from(raw)
+    if found != version:
+        raise ValueError(f"{source}: unsupported {what} version {found} "
+                         f"(this reader takes version {version})")
+    pos = _PREAMBLE.size + header_len
+    header = json.loads(raw[_PREAMBLE.size:pos])
+    shape = [(array(code), n) for code, n in layout(header)]
+    size = pos + sum(col.itemsize * n for col, n in shape)
+    if len(raw) != size:
+        raise ValueError(f"{source}: truncated or padded: the header "
+                         f"promises {size} bytes, found {len(raw)} bytes")
+    view = memoryview(raw)
+    for col, n in shape:
+        end = pos + n * col.itemsize
+        col.frombytes(view[pos:end])
+        if _SWAP:
+            col.byteswap()
+        pos = end
+    return header, [col for col, _n in shape]
 
 
 # ----------------------------------------------------------------------
@@ -82,17 +139,10 @@ def encode_trace(trace: Trace, compress: bool = True) -> bytes:
     """``trace`` in the native binary format, gzipped unless
     ``compress`` is false (``mtime=0``: the bytes depend only on the
     trace).  ``ValueError`` if a gap exceeds :data:`MAX_GAP`."""
-    columns = [trace.pc, trace.addr, _narrow_gaps(trace), trace.flags]
-    if _SWAP:
-        columns = [array(col.typecode, col) for col in columns]
-        for col in columns:
-            col.byteswap()
-    header = json.dumps({
+    raw = pack_columns(_MAGIC, _VERSION, {
         "name": trace.name, "seed": trace.seed, "suite": trace.suite,
         "records": len(trace),
-    }).encode()
-    raw = b"".join([_PREAMBLE.pack(_MAGIC, _VERSION, len(header)), header]
-                   + [col.tobytes() for col in columns])
+    }, [trace.pc, trace.addr, _narrow_gaps(trace), trace.flags])
     if compress:
         return gzip.compress(raw, compresslevel=_COMPRESS_LEVEL, mtime=0)
     return raw
@@ -106,32 +156,9 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace`."""
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    if len(raw) < _PREAMBLE.size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a native trace file")
-    _magic, version, header_len = _PREAMBLE.unpack_from(raw)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported trace version {version} "
-                         f"(this reader takes version {_VERSION})")
-    pos = _PREAMBLE.size + header_len
-    meta = json.loads(raw[_PREAMBLE.size:pos])
-    n = meta["records"]
-    columns = [array(code) for code in _DISK_TYPES]
-    size = pos + n * sum(col.itemsize for col in columns)
-    if len(raw) != size:
-        raise ValueError(f"{path}: truncated or padded: the header "
-                         f"promises {n} records ({size} bytes), found "
-                         f"{len(raw)} bytes")
-    view = memoryview(raw)
-    for col in columns:
-        end = pos + n * col.itemsize
-        col.frombytes(view[pos:end])
-        if _SWAP:
-            col.byteswap()
-        pos = end
-    pc, addr, gap, flags = columns
+    meta, (pc, addr, gap, flags) = unpack_columns(
+        Path(path).read_bytes(), _MAGIC, _VERSION, path, "trace",
+        lambda meta: [(code, meta["records"]) for code in _DISK_TYPES])
     return Trace.from_columns(meta["name"], pc, addr, array("I", gap),
                               flags, seed=meta["seed"], suite=meta["suite"])
 

@@ -10,11 +10,11 @@ is what makes persistent warm workers nearly generation-free).
 
 It is a :class:`~repro.durable.ContentStore`, like the result store:
 the **key** hashes the generation parameters (:func:`trace_key`), the
-**namespace** the workload-generator sources plus ``sim/config.py``
-(whose ``BLOCK_SIZE`` shapes addresses), and entries are the native
-``.rtrc.gz`` format (version 3) of :mod:`repro.workloads.io`: the
-trace's four columns as blobs, gzip level 1, decoded with one
-``frombytes`` per column.  A torn or bit-flipped entry is quarantined
+**namespace** the workload-generator sources, the committed graph data
+and ``sim/config.py`` (whose ``BLOCK_SIZE`` shapes addresses), and
+entries are the native ``.rtrc.gz`` format (version 3) of
+:mod:`repro.workloads.io`: the trace's four columns as blobs, gzip
+level 1, decoded with one ``frombytes`` per column.  A torn or bit-flipped entry is quarantined
 and regenerated.
 
 Byte-identity contract: a cached trace must round-trip *exactly*.  The
@@ -60,11 +60,12 @@ def workloads_fingerprint() -> str:
     """Hash of the trace-generation sources (the cache namespace).
 
     Narrower than the result store's whole-package fingerprint on
-    purpose: traces depend only on ``repro.workloads`` and the geometry
-    constants in ``repro/sim/config.py``, so a policy or harness edit
-    keeps every cached trace valid.
+    purpose: traces depend only on ``repro.workloads``, its graph data
+    and the geometry constants in ``repro/sim/config.py``, so a policy
+    or harness edit keeps every cached trace valid.
     """
-    return source_fingerprint("workloads/*.py", "sim/config.py")
+    return source_fingerprint("workloads/*.py", "workloads/data/*",
+                              "sim/config.py")
 
 
 def trace_key(kind: str, name: str, n_records: int, seed: int,

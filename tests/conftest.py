@@ -8,6 +8,24 @@ from repro.sim import SystemConfig
 from repro.workloads import TraceRecord, make_trace
 
 
+@pytest.fixture(scope="session", autouse=True)
+def isolated_caches(tmp_path_factory):
+    """Point the result store and the trace cache at a per-session tmp
+    dir, so no test (nor a subprocess it starts, which inherits the
+    environment) writes into the user's ``~/.cache/repro-care``."""
+    from repro.harness.store import reset_default_store
+    from repro.workloads.tracecache import reset_default_trace_cache
+    root = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_RESULT_STORE", str(root / "results"))
+        patch.setenv("REPRO_TRACE_CACHE", str(root / "traces"))
+        reset_default_store()
+        reset_default_trace_cache()
+        yield root
+    reset_default_store()
+    reset_default_trace_cache()
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xBEEF)

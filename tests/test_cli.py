@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,26 @@ def test_run_command_gap(capsys):
                  "--records", "800", "--prefetch"]) == 0
     out = capsys.readouterr().out
     assert "bfs-or" in out and "prefetch=on" in out
+
+
+def test_run_without_no_store_leaves_the_user_cache_alone(
+        tmp_path, monkeypatch, capsys):
+    """A stored ``run`` writes under the session's store and trace cache
+    (``tests/conftest.py``), not under ``~/.cache/repro-care``."""
+    from repro.harness.runner import clear_memo
+    from repro.harness.store import reset_default_store
+    from repro.workloads.tracecache import reset_default_trace_cache
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
+    clear_memo()
+    reset_default_store()
+    reset_default_trace_cache()
+    assert main(["run", "462.libquantum", "--policies", "lru",
+                 "--records", "300"]) == 0
+    assert "462.libquantum" in capsys.readouterr().out
+    assert not (home / ".cache" / "repro-care").exists()
+    session_store = Path(os.environ["REPRO_RESULT_STORE"])
+    assert list(session_store.glob("*/*/*.json"))
 
 
 def test_run_command_json(capsys):

@@ -87,7 +87,7 @@ def test_pagerank_conserves_mass_and_favors_hubs(graph, nx_graph):
     drain(pagerank_records(graph, iterations=15, result=result))
     rank = result["rank"]
     # Mass is conserved up to dangling leakage (vertices nobody references).
-    assert 0.5 < rank.sum() <= 1.05
+    assert 0.5 < sum(rank) <= 1.05
     # The most-referenced vertex (in-degree of the pull) must out-rank the
     # median vertex.
     refs = np.bincount(graph.neighbors, minlength=graph.n_vertices)
@@ -125,4 +125,4 @@ def test_bc_sigma_counts_shortest_paths(graph, nx_graph):
 def test_bc_delta_nonnegative(graph):
     result = {}
     drain(bc_records(graph, 3, result=result))
-    assert (result["delta"] >= 0).all()
+    assert all(d >= 0 for d in result["delta"])

@@ -1,11 +1,13 @@
 """Import-path hygiene: what ships, and what a cold start loads.
 
-* Every ``repro`` module must be a file git tracks.  An ignore rule once
-  matched ``src/repro/obs/`` and kept ``incidents.py`` out of every
+* Every ``repro`` module, and every committed graph file under
+  ``repro/workloads/data/``, must be a file git tracks.  An ignore rule
+  once matched ``src/repro/obs/`` and kept ``incidents.py`` out of every
   commit while it still imported fine in the working tree.
-* numpy and scipy load only where they are used (GAP graph generation
-  and ``analysis.statistics``), so a SPEC-like simulation process never
-  pays for importing them.
+* numpy and scipy load only for ``analysis.statistics``, so no process
+  that generates a SPEC, GAP, serving or mix trace pays for importing
+  them, and one SPEC-like point loads neither the sweep machinery nor
+  the GAP and serving generators.
 * Only ``repro.harness.config`` reads the environment, which holds four
   deployment settings; every other run setting travels in a
   ``RunConfig``.
@@ -56,6 +58,21 @@ def test_every_repro_module_is_tracked_by_git():
     assert not untracked, (
         f"modules import from files git does not track (ignored or never "
         f"added): {untracked}")
+
+
+def test_every_graph_data_file_is_tracked_by_git():
+    tracked = _git_tracked_files()
+    if tracked is None:
+        pytest.skip("not inside a git checkout")
+    from repro.workloads.graphs import DATA_DIR, GRAPH_SPECS
+    if REPO not in DATA_DIR.resolve().parents:
+        pytest.skip("repro is imported from outside this checkout")
+    files = {path.resolve() for path in DATA_DIR.iterdir() if path.is_file()}
+    assert {spec.path.resolve() for spec in GRAPH_SPECS.values()} <= files
+    untracked = sorted(path.name for path in files if path not in tracked)
+    assert not untracked, (
+        f"graph data git does not track (ignored or never added): "
+        f"{untracked}")
 
 
 def test_only_the_run_config_module_reads_the_environment():
@@ -111,7 +128,8 @@ ONE_POINT = textwrap.dedent("""
                  prefetch=spec.prefetch, seed=spec.seed).run()
     sweep = ["repro.harness." + m for m in (
         "campaign", "runner", "supervise", "turbo", "store", "cachesim")]
-    print(",".join(m for m in sweep + ["repro.checks.chaos"]
+    generators = ["repro.workloads." + m for m in ("gap", "graphs", "serving")]
+    print(",".join(m for m in sweep + generators + ["repro.checks.chaos"]
                    if m in sys.modules))
 """)
 
@@ -120,6 +138,24 @@ def test_one_point_does_not_import_the_sweep_machinery():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
                REPRO_TRACE_CACHE="off", REPRO_RESULT_STORE="off")
     proc = subprocess.run([sys.executable, "-c", ONE_POINT], cwd=REPO,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
+
+
+GAP_TRACES = textwrap.dedent("""
+    import sys
+    from repro.workloads import gap_trace, gap_workload_names
+    for name in gap_workload_names():
+        assert len(gap_trace(name, n_records=300, seed=1)) == 300
+    print(",".join(m for m in ("numpy", "scipy") if m in sys.modules))
+""")
+
+
+def test_gap_trace_generation_imports_neither_numpy_nor_scipy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", GAP_TRACES], cwd=REPO,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
