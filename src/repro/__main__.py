@@ -31,12 +31,9 @@ is retried with backoff, hung or crashed workers are killed and
 re-queued, and permanent failures are collected into a failure table
 while every healthy point finishes (``--fail-fast`` aborts instead).
 ``--manifest`` checkpoints campaign status so ``--resume`` picks up
-where an interrupted or partially failed sweep left off.
-
-``--checkpoint`` (run/campaign run) enables mid-flight save-states
-(``repro.harness.preempt``): watchdog timeouts and resource-guard
-breaches preempt workers cleanly, and the retried point *resumes* from
-its save-state instead of restarting — byte-identically.
+where an interrupted or partially failed sweep left off.  A point whose
+worker the watchdog or a resource guard killed restarts cold on its
+retry.
 
 Exit codes: 0 success; 2 usage error; 3 sweep finished but some points
 failed permanently, or the sweep manifest could not be persisted;
@@ -146,7 +143,6 @@ def _run_config(args):
 
     from .checks.chaos import parse_chaos
     from .harness.config import RunConfig, cache_root
-    from .harness.preempt import CheckpointConfig
     from .obs import ObsConfig
 
     config = RunConfig.from_env()
@@ -156,20 +152,10 @@ def _run_config(args):
                         trace=args.trace,
                         trace_sample=max(1, args.trace_sample),
                         out_dir=args.obs_dir)
-    checkpoint = None
-    if args.checkpoint is not None or args.checkpoint_secs is not None:
-        # --checkpoint with no value: save-states on preemption only;
-        # a value adds an every-N-events cadence.
-        events, secs = args.checkpoint, args.checkpoint_secs
-        checkpoint = CheckpointConfig(
-            dir=os.path.join(args.obs_dir, "ckpt"),
-            every_events=max(1, events) if events else None,
-            every_secs=secs if secs and secs > 0 else None)
     trace_cache = config.trace_cache
     if args.trace_cache is not None:
         trace_cache = cache_root(args.trace_cache, "traces")
     return replace(config, sanitize=args.sanitize, obs=obs,
-                   checkpoint=checkpoint,
                    chaos=parse_chaos(args.chaos) if args.chaos else None,
                    trace_cache=trace_cache)
 
@@ -748,19 +734,8 @@ def _add_supervise_args(parser: argparse.ArgumentParser,
     parser.add_argument("--chaos", default=None,
                         metavar="PROFILE:SEED[:NUM/DEN]",
                         help="inject deterministic faults (testing): "
-                             "profiles raise/flaky/hang/kill/corrupt/"
-                             "preempt/ckpt-corrupt/all, e.g. 'all:7' or "
-                             "'flaky:3:1/2'")
-    parser.add_argument("--checkpoint", nargs="?", const=0, type=int,
-                        default=None, metavar="EVENTS",
-                        help="write mid-run save-states so preempted "
-                             "points resume instead of restarting; an "
-                             "EVENTS value adds a periodic cadence "
-                             "(states land in <obs-dir>/ckpt)")
-    parser.add_argument("--checkpoint-secs", type=float, default=None,
-                        metavar="S",
-                        help="also checkpoint every S wall-clock seconds "
-                             "(implies --checkpoint)")
+                             "profiles raise/flaky/hang/kill/corrupt/all, "
+                             "e.g. 'all:7' or 'flaky:3:1/2'")
     if with_manifest:
         parser.add_argument("--manifest", nargs="?",
                             const="sweep.manifest.json",

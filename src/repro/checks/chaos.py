@@ -36,15 +36,6 @@ Faults (``all`` = every one of them):
     Result-store and trace-cache writes for selected entries are
     truncated after the atomic rename — ``fsck`` / hardened ``get`` must
     quarantine them.
-``preempt``
-    A preempt request is latched before the first attempt — the
-    checkpoint policy must save state and stop cleanly, and the retry
-    must *resume* the save-state to a byte-identical result.  No-ops
-    when checkpointing (``--checkpoint``) is disabled.
-``ckpt-corrupt``
-    Save-state writes for selected points are truncated after the
-    atomic rename — restore must quarantine the torn file and
-    cold-start (every attempt, like ``corrupt``).
 
 ``hang``/``kill`` are *disruptive*: they are only injected inside
 supervised worker processes, never in-process (a serial sweep injecting
@@ -62,12 +53,11 @@ from dataclasses import dataclass
 from typing import Tuple
 
 #: individual fault names (profile ``all`` expands to this tuple)
-FAULTS: Tuple[str, ...] = ("raise", "flaky", "hang", "kill", "corrupt",
-                           "preempt", "ckpt-corrupt")
+FAULTS: Tuple[str, ...] = ("raise", "flaky", "hang", "kill", "corrupt")
 
 #: faults that are injected on the first attempt only, so a retry (or a
 #: watchdog kill + retry) recovers the point
-TRANSIENT_FAULTS: Tuple[str, ...] = ("flaky", "hang", "kill", "preempt")
+TRANSIENT_FAULTS: Tuple[str, ...] = ("flaky", "hang", "kill")
 
 #: faults that require a sacrificial worker process
 DISRUPTIVE_FAULTS: Tuple[str, ...] = ("hang", "kill")
@@ -154,43 +144,36 @@ def planned_faults(cfg: ChaosConfig, key: str) -> Tuple[str, ...]:
 
 
 def inject_execute(cfg: ChaosConfig, key: str, attempt: int,
-                   disruptive_ok: bool, checkpointing: bool = False) -> None:
+                   disruptive_ok: bool) -> None:
     """Fire any execute-stage fault selected for ``(key, attempt)``.
 
     Called by the supervised worker (``disruptive_ok=True``) and by the
     serial runner (``disruptive_ok=False`` — hang/kill would take the
     main process down, so serial sweeps only see exception faults).
-    Order is fixed (kill > hang > preempt > flaky > raise) so a point
-    selected for several faults behaves identically everywhere.
-    ``preempt`` only latches a request, and only when the point runs
-    ``checkpointing``: the checkpoint policy consumes it at the next
-    watcher boundary inside the simulation, and without a policy the
-    latch would poison a later task instead.
+    Order is fixed (kill > hang > flaky > raise) so a point selected
+    for several faults behaves identically everywhere.
     """
     if disruptive_ok and should_inject(cfg, "kill", key, attempt):
         os._exit(137)
     if disruptive_ok and should_inject(cfg, "hang", key, attempt):
         time.sleep(HANG_SECONDS)
-    if checkpointing and should_inject(cfg, "preempt", key, attempt):
-        from ..harness.preempt import request_preempt
-        request_preempt()
     if should_inject(cfg, "flaky", key, attempt):
         raise OSError(f"chaos: injected transient fault for {key[:12]}")
     if should_inject(cfg, "raise", key, attempt):
         raise ChaosError(f"chaos: injected permanent fault for {key[:12]}")
 
 
-def corrupt_entry(cfg: ChaosConfig, key: str, path: "os.PathLike[str]",
-                  fault: str = "corrupt") -> bool:
-    """Truncate a freshly written entry if ``fault`` selects ``key``.
+def corrupt_entry(cfg: ChaosConfig, key: str,
+                  path: "os.PathLike[str]") -> bool:
+    """Truncate a freshly written result-store or trace-cache entry if
+    the ``corrupt`` fault selects ``key``.
 
-    ``corrupt`` tears result-store and trace-cache entries,
-    ``ckpt-corrupt`` save-states.  Returns True when the entry was torn
-    (never raises).  Half the payload guarantees a decode error, which
-    is exactly what a process killed mid-write (pre-atomic-rename
-    filesystems, torn NFS writes) leaves behind.
+    Returns True when the entry was torn (never raises).  Half the
+    payload guarantees a decode error, which is exactly what a process
+    killed mid-write (pre-atomic-rename filesystems, torn NFS writes)
+    leaves behind.
     """
-    if not should_inject(cfg, fault, key):
+    if not should_inject(cfg, "corrupt", key):
         return False
     try:
         os.truncate(path, max(1, os.path.getsize(path) // 2))

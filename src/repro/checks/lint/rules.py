@@ -271,10 +271,6 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
 #: public post/at/after API.
 ENGINE_MODULES: FrozenSet[str] = frozenset({
     "repro.sim.engine",
-    # save-state codec: snapshot/restore round-trips the engine's queue
-    # state (via its __getstate__/__setstate__), so it is engine-module
-    # code even though it lives outside the engine
-    "repro.sim.savestate",
 })
 
 #: Enum classes whose members SS205 keeps out of hot-path functions.

@@ -1,7 +1,7 @@
 """One on-disk protocol for every artifact a run persists.
 
-The result store, the trace cache, sweep manifests and save-states reach
-disk the same way and treat a file they cannot read the same way:
+The result store, the trace cache and sweep manifests reach disk the
+same way and treat a file they cannot read the same way:
 
 * :func:`atomic_write` — a temp file beside the target, then
   ``os.replace``; the temp file is removed on any failure.

@@ -5,7 +5,7 @@ A :class:`RunConfig` is built once per command, from the flags of
 :meth:`RunConfig.from_env` at call time for library callers.  It then
 travels explicitly: ``run``/``run_many(config=)`` -> the worker pool's
 task message -> :meth:`~repro.harness.spec.ExperimentSpec.execute` ->
-``build_system(sanitize=, obs=, checkpoint=)``.  A warm worker therefore
+``build_system(sanitize=, obs=)``.  A warm worker therefore
 runs each point under exactly the settings its own task carried, and a
 second command in one process never inherits the first one's.
 
@@ -34,8 +34,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Set
-
-from .preempt import CheckpointConfig, ResourceGuards
 
 if TYPE_CHECKING:
     from ..checks.chaos import ChaosConfig
@@ -99,17 +97,30 @@ def result_store_root() -> Optional[str]:
 
 
 @dataclass(frozen=True)
+class ResourceGuards:
+    """Per-worker RSS budget and global disk-free floor (MiB), checked
+    by the worker pool with :func:`repro.harness.preempt.guard_breach`."""
+
+    rss_budget_mb: Optional[float] = None
+    disk_floor_mb: Optional[float] = None
+
+    @property
+    def enabled(self) -> bool:
+        return (self.rss_budget_mb is not None
+                or self.disk_floor_mb is not None)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Frozen settings for one command's simulated points.
 
-    ``RunConfig()`` is a plain run: no sanitizer, observers, checkpoints,
-    chaos, trace cache or resource guards.  ``trace_cache`` is a
+    ``RunConfig()`` is a plain run: no sanitizer, observers, chaos,
+    trace cache or resource guards.  ``trace_cache`` is a
     directory, or ``None`` for off.
     """
 
     sanitize: bool = False
     obs: Optional[ObsConfig] = None
-    checkpoint: Optional[CheckpointConfig] = None
     chaos: Optional[ChaosConfig] = None
     trace_cache: Optional[str] = None
     guards: ResourceGuards = ResourceGuards()

@@ -383,7 +383,6 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
 
     def run_serial(todo: Sequence[ExperimentSpec]) -> None:
         chaos = config.chaos
-        checkpointing = config.checkpoint is not None
         for spec in todo:
             if sup is not None and sup.interrupted:
                 raise SweepInterrupted()
@@ -394,8 +393,7 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                 try:
                     if chaos is not None:
                         inject_execute(chaos, key, attempt,
-                                       disruptive_ok=False,
-                                       checkpointing=checkpointing)
+                                       disruptive_ok=False)
                     result = spec.execute(config)
                 except Exception as exc:
                     duration = time.monotonic() - start

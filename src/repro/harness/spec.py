@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.config import SystemConfig
@@ -114,12 +114,13 @@ class ExperimentSpec:
 
     # -- identity -------------------------------------------------------
     def to_dict(self) -> Dict:
-        return asdict(self)
+        # Every field is a flat scalar, so a plain dict is the same as
+        # ``dataclasses.asdict`` without its recursive deep copy.
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentSpec":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - set(_FIELD_NAMES)
         if unknown:
             raise ValueError(f"unknown ExperimentSpec fields: {sorted(unknown)}")
         return cls(**data)
@@ -170,30 +171,19 @@ class ExperimentSpec:
                                       suite=self.suite, cache=cache)
         return traces
 
-    def execute(self, config: Optional["RunConfig"] = None,
-                notes: Optional[Dict] = None) -> SimResult:
+    def execute(self, config: Optional["RunConfig"] = None) -> SimResult:
         """Run the simulation for this point (no caching — see the runner).
 
         ``config`` (:class:`~repro.harness.config.RunConfig`) carries
-        every run setting: sanitizer, observers, checkpointing, chaos and
-        the trace cache.  Library callers may omit it and get
+        every run setting: sanitizer, observers, chaos and the trace
+        cache.  Library callers may omit it and get
         :meth:`RunConfig.from_env() <repro.harness.config.RunConfig.from_env>`.
 
         A spec whose ``engine`` is not ``"classic"`` (a stored result of
         the removed batched backend) raises ``ValueError``: it can still
         be served from the store, but not re-simulated.
-
-        With ``config.checkpoint`` set (see :mod:`repro.harness.preempt`)
-        a valid save-state for this spec is restored and *resumed*
-        instead of cold-starting, and fresh runs carry a
-        :class:`~repro.harness.preempt.CheckpointPolicy` so they can be
-        preempted mid-flight.  A refused (corrupt / version-skewed)
-        state is quarantined and the point cold-starts: never a wrong
-        answer.  ``notes``, when given, collects ``resumed`` /
-        ``quarantined`` annotations for the caller's incident log.
         """
         from ..sim.backends import build_system
-        from . import preempt
         if config is None:
             from .config import RunConfig
             config = RunConfig.from_env()
@@ -203,28 +193,6 @@ class ExperimentSpec:
             # differ only there share it; the key prefix keeps their
             # artifacts apart.
             obs = obs.with_tag(f"{self.label()}-{self.key()[:12]}")
-        policy = None
-        if config.checkpoint is not None:
-            from .store import code_fingerprint
-            key = self.key()
-            policy = preempt.CheckpointPolicy.for_spec(
-                config.checkpoint, key, code_fingerprint(),
-                chaos=config.chaos)
-            system, note = preempt.try_restore(
-                policy.path, spec_key=key, fingerprint=policy.fingerprint)
-            if note is not None and notes is not None:
-                notes["quarantined"] = note
-            if system is not None:
-                # The policy pickled inside the save-state (it rides the
-                # watcher mux); resume() rearms it — re-installing would
-                # reset every watcher countdown and break determinism.
-                # Chaos is per task, so it takes this task's profile.
-                system.checkpoint.chaos = policy.chaos
-                if notes is not None:
-                    notes["resumed"] = system.engine.events_processed
-                result = system.resume()
-                preempt.clear_state(policy.path)
-                return result
         traces = self.build_traces(config)
         n = min(len(t) for t in traces)
         system = build_system(self.build_config(), traces,
@@ -232,9 +200,9 @@ class ExperimentSpec:
                               prefetch=self.prefetch, seed=self.seed,
                               measure_records=n // 2, warmup_records=n // 2,
                               collect_deltas=self.collect_deltas,
-                              sanitize=config.sanitize, obs=obs,
-                              checkpoint=policy)
-        result = system.run()
-        if policy is not None:
-            preempt.clear_state(policy.path)
-        return result
+                              sanitize=config.sanitize, obs=obs)
+        return system.run()
+
+
+#: the spec's field names, in declaration order
+_FIELD_NAMES = tuple(f.name for f in fields(ExperimentSpec))

@@ -15,7 +15,7 @@ Layout::
 Each entry file holds ``{"spec": ..., "result": ..., "fingerprint": ...}``
 as compact sorted-key JSON.  How entries reach disk and what happens to
 one that cannot be read is :mod:`repro.durable`'s protocol, shared with
-the trace cache, sweep manifests and save-states.
+the trace cache and sweep manifests.
 
 The default root is ``~/.cache/repro-care/results``; override with the
 ``REPRO_RESULT_STORE`` environment variable (set it to ``0``, ``off`` or

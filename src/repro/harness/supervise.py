@@ -1,4 +1,4 @@
-"""Fault-tolerant sweep supervision: retries, timeouts, checkpoints.
+"""Fault-tolerant sweep supervision: retries, timeouts, the sweep ledger.
 
 The paper's campaigns are large — dozens of policies x workloads x core
 counts — and a multi-hour sweep must survive worker crashes, hangs, OOM
@@ -14,8 +14,9 @@ This module supplies the machinery the runner builds on:
   classified immediately.
 * :func:`compute_timeout` — the wall-clock deadline per point that the
   worker pool (:class:`repro.harness.turbo.PersistentPool`) enforces by
-  killing and respawning a hung worker.
-* :class:`SweepManifest` — a checkpoint file (written by the
+  killing and respawning a hung worker.  A killed point restarts cold on
+  its retry: points are short, so there is no mid-run save-state.
+* :class:`SweepManifest` — a ledger file (written by the
   :mod:`repro.durable` protocol) tracking done/failed/pending point keys, so
   ``python -m repro campaign run --resume`` continues a killed campaign.
 * :class:`SweepSupervisor` / :func:`supervised_sweep` — the process-wide
@@ -51,17 +52,15 @@ TIMEOUT_ERROR = "WorkerTimeout"
 
 #: exception type names the retry layer treats as transient.  The OSError
 #: family covers full disks, dropped pipes, and sandbox refusals; the
-#: synthetic names cover watchdog kills and dead workers (OOM stand-ins);
+#: synthetic names cover watchdog kills, dead workers (OOM stand-ins) and
+#: resource-guard kills, whose requeued attempt restarts the point cold;
 #: BrokenProcessPool is kept for payloads from legacy executors.
-#: Preemption is transient by construction: the requeued attempt resumes
-#: from the save-state (or cold-restarts if the save failed).
 TRANSIENT_ERROR_NAMES = frozenset({
     "OSError", "IOError", "EnvironmentError", "InterruptedError",
     "BlockingIOError", "BrokenPipeError", "ConnectionError",
     "ConnectionAbortedError", "ConnectionRefusedError",
     "ConnectionResetError", "TimeoutError", "MemoryError",
-    "BrokenProcessPool", CRASH_ERROR, TIMEOUT_ERROR,
-    PREEMPT_ERROR, "PreemptedError",
+    "BrokenProcessPool", CRASH_ERROR, TIMEOUT_ERROR, PREEMPT_ERROR,
 })
 
 #: default per-point deadline: a generous base plus work-proportional
@@ -249,8 +248,8 @@ class SweepManifest:
     (:func:`repro.durable.atomic_write`) and rewrite the whole ledger, so
     the runner saves done marks at most once per
     :data:`~repro.harness.runner.MANIFEST_SAVE_PERIOD` and whenever a
-    ``run_many`` call ends; failures and preempts are saved at once.  A
-    done mark lost to a kill costs ``--resume`` one store hit.
+    ``run_many`` call ends; failures are saved at once.  A done mark
+    lost to a kill costs ``--resume`` one store hit.
     """
 
     def __init__(self, path: Union[str, Path], sweep: str = "",
@@ -287,16 +286,6 @@ class SweepManifest:
         entry["error"] = {"kind": failure.kind, "error": failure.error,
                           "message": failure.message,
                           "permanent": failure.permanent}
-
-    def mark_preempted(self, spec: ExperimentSpec,
-                       ckpt_path: Optional[str]) -> None:
-        """Record checkpoint lineage: the point was preempted and its
-        requeued attempt will resume from ``ckpt_path`` (``None`` means
-        the save failed and the retry cold-restarts)."""
-        entry = self._entry(spec)
-        entry["preempts"] = entry.get("preempts", 0) + 1
-        entry["ckpt"] = ckpt_path
-        self.checkpoint()
 
     def reset_failures(self) -> int:
         """Failed -> pending (a ``--resume`` gives them a fresh start)."""

@@ -14,15 +14,17 @@ idling the worker.
 Supervision (:mod:`repro.harness.supervise`) is enforced per point: a
 transient failure is retried with backoff, a permanent one is recorded,
 the watchdog kills a hung *worker* (not the pool) and the pool respawns
-it, crashes are attributed by exit code and pid, chaos disruptive
-faults stay worker-only, and SIGINT/manifest behavior lives in the
-caller (:func:`repro.harness.runner.run_many`).
+it, a resource-guard breach does the same, crashes are attributed by
+exit code and pid, chaos disruptive faults stay worker-only, and
+SIGINT/manifest behavior lives in the caller
+(:func:`repro.harness.runner.run_many`).  A killed worker's point
+restarts cold on its retry.
 
 Workers outlive the command that forked them, so every task message
 carries the sweep's :class:`~repro.harness.config.RunConfig`: the
-worker runs the point under exactly that sanitizer, observer,
-checkpoint, chaos and trace-cache setting, never under one a previous
-task shipped or one inherited at fork time.
+worker runs the point under exactly that sanitizer, observer, chaos
+and trace-cache setting, never under one a previous task shipped or
+one inherited at fork time.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..sim.stats import SimResult
-from . import preempt
 from .config import RunConfig
-from .preempt import PREEMPT_ERROR
+from .preempt import PREEMPT_ERROR, guard_breach
 from .spec import ExperimentSpec
 from .supervise import (
     CRASH_ERROR,
@@ -47,11 +48,6 @@ from .supervise import (
 )
 
 log = logging.getLogger(__name__)
-
-#: sentinel distinguishing "recv from the pipe" from "payload is None
-#: because the worker died" in the pool's reap path
-_UNRECEIVED = object()
-
 
 class PoolUnavailable(Exception):
     """The worker pool could not start or died mid-sweep."""
@@ -67,41 +63,22 @@ class PoolUnavailable(Exception):
 def _execute_task(msg: Dict[str, Any]) -> Dict[str, Any]:
     """Run one task message; report failures as payloads, never raise."""
     start = time.monotonic()
-    notes: Dict[str, Any] = {}
-    previous_term = None
     try:
         from ..checks.chaos import inject_execute
         config: RunConfig = msg["config"]
-        checkpointing = config.checkpoint is not None
-        preempt.clear_preempt()   # a late signal for a previous task
-        if checkpointing:
-            # Only checkpointed tasks trade SIGTERM for a clean preempt;
-            # the handler is restored below so an *idle* warm worker
-            # keeps default teardown (terminate() stays instant).
-            previous_term = preempt.install_preempt_handler()
         spec = ExperimentSpec.from_dict(msg["spec"])
         if config.chaos is not None:
             inject_execute(config.chaos, spec.key(), msg["attempt"],
-                           disruptive_ok=True, checkpointing=checkpointing)
-        result = spec.execute(config, notes=notes)
-        payload: Dict[str, Any] = {"ok": True, "result": result.to_dict(),
-                                   "duration": time.monotonic() - start}
-    except preempt.PreemptedError as exc:
-        payload = {"ok": False, "preempted": True, "error": PREEMPT_ERROR,
-                   "message": str(exc),
-                   "ckpt": {"path": exc.path, "events": exc.events},
-                   "duration": time.monotonic() - start}
+                           disruptive_ok=True)
+        result = spec.execute(config)
+        return {"ok": True, "result": result.to_dict(),
+                "duration": time.monotonic() - start}
     except BaseException as exc:   # report absolutely everything
         import traceback as tb_mod
-        payload = {"ok": False, "error": type(exc).__name__,
-                   "message": str(exc),
-                   "traceback": tb_mod.format_exc()[-4000:],
-                   "duration": time.monotonic() - start}
-    finally:
-        preempt.restore_preempt_handler(previous_term)
-    if notes:
-        payload["notes"] = notes
-    return payload
+        return {"ok": False, "error": type(exc).__name__,
+                "message": str(exc),
+                "traceback": tb_mod.format_exc()[-4000:],
+                "duration": time.monotonic() - start}
 
 
 def _persistent_worker(conn: Any) -> None:
@@ -132,11 +109,6 @@ def _persistent_worker(conn: Any) -> None:
         try:
             conn.send(payload)
         except (BrokenPipeError, OSError):   # parent gave up on us
-            break
-        if payload.get("preempted"):
-            # A preempt is a wind-down request (watchdog, resource
-            # guard, or operator signal): exit so the parent respawns a
-            # fresh worker rather than reusing this one.
             break
     try:
         conn.close()
@@ -288,8 +260,8 @@ class PersistentPool:
             keep_going: bool = True) -> None:
         """Resolve every spec on the warm pool, retrying transients.
 
-        Every task message carries ``config``; its resource guards and
-        checkpoint setting also drive the parent-side preemption.
+        Every task message carries ``config``; its resource guards also
+        drive the parent-side guard loop.
 
         Raises :class:`PoolUnavailable` when no worker can be forked
         (the runner falls back to serial) and :class:`SweepInterrupted`
@@ -306,7 +278,6 @@ class PersistentPool:
         aborted = False
         guards = config.guards
         guard_next = 0.0
-        ckpt = config.checkpoint
 
         def dispatch(worker: _PoolWorker, spec: ExperimentSpec,
                      attempt: int) -> bool:
@@ -355,29 +326,17 @@ class PersistentPool:
 
         def classify(spec: ExperimentSpec, key: str, attempt: int,
                      kind: str, error: str, message: str, traceback: str,
-                     duration: float, pid: int,
-                     ckpt: Optional[Dict[str, Any]] = None) -> None:
+                     duration: float, pid: int) -> None:
             """Route one bad point: transient -> requeue, else fail.
 
             Timeout, crash and preempt incidents name the worker ``pid``
-            that served the point; ``ckpt`` (``{"path", "events"}``)
-            names a preempted point's save-state, and the manifest
-            records it as checkpoint lineage, so the requeued attempt's
-            restore is auditable.
+            that served the point.
             """
             transient = retry.is_transient_name(error)
             if supervisor is not None and kind in ("timeout", "crash",
                                                    "preempted"):
-                extra: Dict[str, Any] = {"worker": pid}
-                if ckpt:
-                    extra["ckpt"] = ckpt.get("path")
-                    extra["events"] = ckpt.get("events")
                 supervisor.record_incident(kind, spec, error=error,
-                                           attempt=attempt, **extra)
-            if kind == "preempted" and supervisor is not None \
-                    and supervisor.manifest is not None:
-                supervisor.manifest.mark_preempted(spec,
-                                                   (ckpt or {}).get("path"))
+                                           attempt=attempt, worker=pid)
             if transient and attempt + 1 < retry.max_attempts:
                 requeue(spec, key, attempt, error)
                 return
@@ -386,31 +345,16 @@ class PersistentPool:
                               attempts=attempt + 1, duration=duration,
                               permanent=not transient))
 
-        def reap(worker: _PoolWorker, payload: Any = _UNRECEIVED) -> None:
-            """A busy worker's pipe is readable: payload or EOF.
-
-            ``payload`` is passed pre-received when
-            :func:`repro.harness.preempt.try_preempt` already drained
-            the pipe.
-            """
-            if payload is _UNRECEIVED:
-                try:
-                    payload = worker.conn.recv()
-                except (EOFError, OSError):
-                    payload = None
+        def reap(worker: _PoolWorker) -> None:
+            """A busy worker's pipe is readable: payload or EOF."""
+            try:
+                payload = worker.conn.recv()
+            except (EOFError, OSError):
+                payload = None
             spec, key, attempt = worker.spec, worker.key, worker.attempt
             started = worker.started
             pid = worker.proc.pid
             assert spec is not None
-            if payload is not None and supervisor is not None:
-                notes = payload.get("notes") or {}
-                if "resumed" in notes:
-                    supervisor.record_incident("resumed", spec,
-                                               events=notes["resumed"])
-                if "quarantined" in notes:
-                    supervisor.record_incident(
-                        "ckpt-quarantined", spec,
-                        reason=notes["quarantined"])
             if payload is None:      # worker died mid-task
                 self._discard(worker)
                 code = worker.proc.exitcode
@@ -426,27 +370,11 @@ class PersistentPool:
                     feed(worker)
                 on_success(spec, SimResult.from_dict(payload["result"]),
                            payload["duration"])
-            elif payload.get("preempted"):
-                self._discard(worker)   # the worker exits after a preempt
-                classify(spec, key, attempt, "preempted", payload["error"],
-                         payload["message"], "",
-                         payload.get("duration", 0.0), pid,
-                         ckpt=payload.get("ckpt"))
             else:
                 worker.clear()
                 classify(spec, key, attempt, "error", payload["error"],
                          payload["message"], payload.get("traceback", ""),
                          payload.get("duration", 0.0), pid)
-
-        def try_preempt_worker(worker: _PoolWorker) -> bool:
-            """Checkpoint-first alternative to the watchdog kill."""
-            if ckpt is None:
-                return False
-            payload = preempt.try_preempt(worker.proc, worker.conn)
-            if payload is None:
-                return False
-            reap(worker, payload)
-            return True
 
         try:
             while queue or any(w.busy for w in self._workers):
@@ -485,10 +413,6 @@ class PersistentPool:
                 for worker in [w for w in busy
                                if w.busy and w.deadline is not None
                                and now > w.deadline]:
-                    # Checkpoint-first: a preempted point resumes from
-                    # its save-state instead of repeating all its work.
-                    if try_preempt_worker(worker):
-                        continue
                     spec, key, attempt = (worker.spec, worker.key,
                                           worker.attempt)
                     started, deadline = worker.started, worker.deadline
@@ -501,10 +425,8 @@ class PersistentPool:
                              "", now - started, pid)
                 if guards.enabled and now >= guard_next:
                     guard_next = now + 1.0
-                    disk_path = ckpt.dir if ckpt is not None else "."
                     for worker in [w for w in self._workers if w.busy]:
-                        breach = preempt.guard_breach(
-                            guards, worker.proc.pid, disk_path)
+                        breach = guard_breach(guards, worker.proc.pid, ".")
                         if breach is None:
                             continue
                         spec, key, attempt = (worker.spec, worker.key,
@@ -514,8 +436,6 @@ class PersistentPool:
                         if supervisor is not None:
                             supervisor.record_incident(
                                 "guard", spec, reason=breach, worker=pid)
-                        if try_preempt_worker(worker):
-                            continue
                         self._discard(worker)
                         classify(spec, key, attempt, "preempted",
                                  PREEMPT_ERROR, breach, "",

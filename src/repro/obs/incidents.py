@@ -1,9 +1,9 @@
 """Supervision incident log: what went wrong during a sweep, and when.
 
 The sweep supervisor (:mod:`repro.harness.supervise`) records every
-retry, timeout, crash, preemption, checkpoint quarantine, interrupt and
-permanent failure into one :class:`IncidentLog` per CLI invocation.  At
-the end of ``run``/``campaign run`` the log is written as
+retry, timeout, crash, resource-guard breach, interrupt and permanent
+failure into one :class:`IncidentLog` per CLI invocation.  At the end
+of ``run``/``campaign run`` the log is written as
 ``<obs-dir>/<tag>.incidents.json`` (only when something happened), and
 ``python -m repro report --incidents FILE`` renders it as a markdown
 section.
@@ -12,7 +12,7 @@ The JSON layout (schema 1)::
 
     {"schema": 1, "tag": "campaign-care-paper-ci-smoke",
      "events": [{"event": "retry", "t": 1786224094.59,
-                 "error": "PreemptedError", "attempt": 0,
+                 "error": "WorkerTimeout", "attempt": 0,
                  "label": "429.mcf/care/2c/nopf", "key": "a5dac1c05180"}]}
 
 Each event holds its kind, a wall-clock stamp ``t`` and whatever fields

@@ -128,47 +128,6 @@ class Engine:
                 entry[0]()
 
     # ------------------------------------------------------------------
-    # Save-states (repro.sim.savestate)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Pickle the calendar with the live drain normalized away.
-
-        Snapshots happen inside a watcher call, mid-bucket: the live
-        cycle's bucket still sits in ``_buckets`` *with its drained
-        prefix*, and its time has been popped off ``_times``.  Copies
-        are normalized exactly the way the run loops requeue on a
-        mid-bucket stop — keep only the undrained tail, re-push ``now``
-        when a tail exists — so a restored engine re-enters its loop and
-        drains the same events in the same order.  ``now`` is the
-        minimum of the pushed-back heap: every other entry was scheduled
-        strictly later (same-cycle schedules append to the in-dict live
-        bucket rather than pushing a time).  Restore must never
-        re-register watchers (``_rewire_watchers`` would reset the
-        trampoline countdowns); the ``_watchers`` entries travel with
-        their live countdowns instead.
-        """
-        buckets = dict(self._buckets)
-        times = list(self._times)
-        live = self._live_bucket
-        if live is not None:
-            tail = live[self._live_idx:]
-            if tail:
-                buckets[self.now] = tail
-                heapq.heappush(times, self.now)
-            else:
-                buckets.pop(self.now, None)
-        state = {slot: getattr(self, slot) for slot in Engine.__slots__}
-        state["_buckets"] = buckets
-        state["_times"] = times
-        state["_live_bucket"] = None
-        state["_live_idx"] = 0
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
@@ -309,8 +268,7 @@ class Engine:
 
         ``events_processed`` is settled and the live-bucket cursor
         exposed before each watcher call, so observers (sanitizer,
-        metrics sampler, checkpoint policy) see exact state between
-        events.
+        metrics sampler) see exact state between events.
         """
         times = self._times
         buckets = self._buckets

@@ -73,8 +73,7 @@ class MemRequest:
         if req_id is None:
             # SS601: a process-wide label counter, in a warm worker as in
             # a serial sweep.  Only the tracer and sanitizer messages read
-            # req_id, so it never reaches a SimResult; save-states carry
-            # it so resumed traces keep the uninterrupted numbering.
+            # req_id, so it never reaches a SimResult.
             _next_request_id += 1  # simsan: skip=SS601
             req_id = _next_request_id
         self.req_id = req_id

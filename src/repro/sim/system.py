@@ -46,8 +46,7 @@ class System:
     __slots__ = ("cfg", "prefetch", "max_events", "engine", "dram",
                  "llc_policy", "monitor", "llc", "l1s", "l2s", "cores",
                  "_finished", "_warm", "warmup_records", "sanitize",
-                 "sanitizer", "obs", "sampler", "tracer", "checkpoint",
-                 "_released")
+                 "sanitizer", "obs", "sampler", "tracer", "_released")
 
     def __init__(self, cfg: SystemConfig, traces: Sequence[Sequence],
                  llc_policy: Union[str, PolicyFactory] = "lru",
@@ -58,8 +57,7 @@ class System:
                  collect_deltas: bool = False,
                  max_events: Optional[int] = None,
                  sanitize: bool = False,
-                 obs: Optional["ObsConfig"] = None,
-                 checkpoint: Optional[Any] = None) -> None:
+                 obs: Optional["ObsConfig"] = None) -> None:
         if len(traces) != cfg.n_cores:
             raise ValueError(
                 f"{cfg.n_cores} cores but {len(traces)} traces supplied")
@@ -74,9 +72,6 @@ class System:
         self.obs = obs
         self.sampler: Optional[Any] = None
         self.tracer: Optional[Any] = None
-        #: optional :class:`~repro.harness.preempt.CheckpointPolicy`;
-        #: installs last in :meth:`run` and travels inside save-states
-        self.checkpoint = checkpoint
         self._released = False
         self.engine = Engine()
 
@@ -193,9 +188,9 @@ class System:
         callbacks that tie the components into reference cycles are
         dropped, so the system is freed as soon as the caller lets go
         of it.  The returned result, every stats object, the LLC policy
-        and the cores' counters stay readable; calling :meth:`run` or
-        :meth:`resume` again raises ``RuntimeError``.  A run that raises
-        keeps its state for the caller's report.
+        and the cores' counters stay readable; calling :meth:`run` again
+        raises ``RuntimeError``.  A run that raises keeps its state for
+        the caller's report.
 
         With ``sanitize=True``, invariants are swept every
         :data:`~repro.checks.sanitize.DEFAULT_INTERVAL` events and once
@@ -203,61 +198,20 @@ class System:
         :class:`~repro.checks.sanitize.SanitizerError`.  The
         sanitizer observes between events and never perturbs state, so
         results are byte-identical either way.
-
-        With a :attr:`checkpoint` policy attached, save-states are
-        written on cadence and a pending preempt request surfaces as
-        :class:`~repro.harness.preempt.PreemptedError`; a system
-        restored from such a state continues via :meth:`resume`.
         """
-        self._check_not_released()
-        if self.sanitize:
-            from ..checks.sanitize import attach_sanitizer
-            self.sanitizer = attach_sanitizer(self)
-        self._attach_obs()
-        if self.checkpoint is not None:
-            # Installed after every other observer so its watcher entry
-            # sits last in the trampoline: when it fires (and possibly
-            # snapshots), all earlier entries are settled for the tick.
-            self.checkpoint.install(self)
-        for core in self.cores:
-            core.start()
-        return self._complete()
-
-    def resume(self) -> SimResult:
-        """Continue a system restored from a mid-run save-state.
-
-        Watchers (sanitizer, sampler, checkpoint policy) travel inside
-        the save-state with their live trampoline countdowns, so nothing
-        is re-registered here — re-registering would reset countdowns
-        and break byte-identity with the uninterrupted run.  The
-        checkpoint policy only re-arms its process-local wall clock.
-        Like :meth:`run`, a completed resume releases the machine.
-        """
-        self._check_not_released()
-        if self.checkpoint is not None:
-            self.checkpoint.rearm()
-        return self._complete()
-
-    def _check_not_released(self) -> None:
         if self._released:
             raise RuntimeError(
                 "this System already ran to completion and released its "
                 "in-flight state; build a new System to run again")
-
-    def _complete(self) -> SimResult:
-        """Drive the engine to completion and build the result.
-
-        Shared tail of :meth:`run` and :meth:`resume`: the remaining
-        ``max_events`` budget is computed against events already
-        processed, so an interrupted-and-resumed bounded run stops at
-        the same event as an uninterrupted one.
-        """
+        if self.sanitize:
+            from ..checks.sanitize import attach_sanitizer
+            self.sanitizer = attach_sanitizer(self)
+        self._attach_obs()
+        for core in self.cores:
+            core.start()
         sanitizer = self.sanitizer
         try:
-            budget = self.max_events
-            if budget is not None:
-                budget = max(0, budget - self.engine.events_processed)
-            self.engine.run(max_events=budget)
+            self.engine.run(max_events=self.max_events)
             if self._finished < self.cfg.n_cores:
                 unfinished = [c.core_id for c in self.cores if not c.finished]
                 raise RuntimeError(
@@ -274,8 +228,6 @@ class System:
                 sanitizer.uninstall()
             if self.sampler is not None:
                 self.sampler.uninstall()
-            if self.checkpoint is not None:
-                self.checkpoint.uninstall()
         result = self._result()
         if self.obs is not None and self.obs.out_dir is not None:
             from ..obs.schema import write_outputs

@@ -395,33 +395,12 @@ def test_supervise_flag_validation(capsys, tmp_path):
     assert "--timeout" in capsys.readouterr().err
 
 
-def test_run_with_checkpoint_flag_absorbs_preempt_chaos(sweep_env,
-                                                        tmp_path, capsys):
-    """--checkpoint + chaos preempt: every point is preempted mid-run,
-    resumed from its save-state, and the output matches a clean run."""
-    base = ["run", "462.libquantum", "--policies", "lru",
-            "--records", "600", "--no-store", "--json",
-            "--obs-dir", str(tmp_path / "obs")]
-    assert main(base + ["--checkpoint", "1000",
-                        "--chaos", "preempt:7:1/1"]) == 0
-    chaotic = json.loads(capsys.readouterr().out)
-    assert chaotic[0]["result"] is not None
-
-    from repro.harness.runner import clear_memo
-    clear_memo()
-    assert main(base) == 0
-    clean = json.loads(capsys.readouterr().out)
-    assert chaotic == clean
-    # the resumed point completed, so its save-state was cleaned up
-    assert not list((tmp_path / "obs" / "ckpt").rglob("*.ckpt.gz"))
-
-
 def test_run_flags_build_one_run_config(monkeypatch):
     """``run``/``campaign run`` flags become one RunConfig; only the
     deployment settings come from the environment."""
     from repro.__main__ import _run_config
     from repro.checks.chaos import parse_chaos
-    from repro.harness.preempt import CheckpointConfig, ResourceGuards
+    from repro.harness.config import ResourceGuards
     from repro.obs import ObsConfig
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", "/env/traces")
@@ -432,8 +411,7 @@ def test_run_flags_build_one_run_config(monkeypatch):
             [*command, "--obs-dir", "o", *flags]))
 
     plain = config()
-    assert (plain.sanitize, plain.obs, plain.checkpoint, plain.chaos) == \
-        (False, None, None, None)
+    assert (plain.sanitize, plain.obs, plain.chaos) == (False, None, None)
     assert plain.trace_cache == "/env/traces"
     assert plain.guards == ResourceGuards(rss_budget_mb=512)
     full = config("--sanitize", "--chaos", "flaky:3:1/2", "--trace",
@@ -444,40 +422,29 @@ def test_run_flags_build_one_run_config(monkeypatch):
                                  trace_sample=8, out_dir="o")
     assert full.trace_cache is None
     assert config("--trace-cache", "/flag").trace_cache == "/flag"
-    # --checkpoint's cadence mapping is covered in test_preempt
-    assert config("--checkpoint").checkpoint == CheckpointConfig(
-        dir=os.path.join("o", "ckpt"))
 
 
 def test_run_flags_do_not_leak_into_a_later_main_call(sweep_env, tmp_path,
                                                       monkeypatch):
     """Regression: one ``main()`` call's flags must not outlive it.  A
-    traced, sanitized, checkpointed first run used to leave a plain
-    second run traced (into the first run's --obs-dir), sanitized and
-    checkpointed."""
+    traced, sanitized first run used to leave a plain second run traced
+    (into the first run's --obs-dir) and sanitized."""
     from repro.checks import sanitize
-    from repro.harness import preempt
-    calls = {"sanitize": 0, "checkpoint": 0}
-    attach, restore = sanitize.attach_sanitizer, preempt.try_restore
+    calls = {"sanitize": 0}
+    attach = sanitize.attach_sanitizer
 
     def counting_attach(*args, **kwargs):
         calls["sanitize"] += 1
         return attach(*args, **kwargs)
 
-    def counting_restore(*args, **kwargs):
-        calls["checkpoint"] += 1
-        return restore(*args, **kwargs)
-
     monkeypatch.setattr(sanitize, "attach_sanitizer", counting_attach)
-    monkeypatch.setattr(preempt, "try_restore", counting_restore)
     base = ["run", "462.libquantum", "--records", "400", "--no-store"]
-    assert main(base + ["--policies", "lru", "--trace", "--checkpoint",
-                        "--sanitize",
+    assert main(base + ["--policies", "lru", "--trace", "--sanitize",
                         "--obs-dir", str(tmp_path / "obs1")]) == 0
-    assert calls == {"sanitize": 1, "checkpoint": 1}
+    assert calls == {"sanitize": 1}
     assert main(base + ["--policies", "srrip",
                         "--obs-dir", str(tmp_path / "obs2")]) == 0
-    assert calls == {"sanitize": 1, "checkpoint": 1}   # plain second run
+    assert calls == {"sanitize": 1}   # plain second run
     traces = [p.relative_to(tmp_path).as_posix()
               for p in tmp_path.rglob("*.trace.json")]
     assert traces == ["obs1/462.libquantum-lru-1c-nopf-49ca0c14b9f4.trace.json"]
@@ -512,6 +479,40 @@ def test_resume_quarantines_an_unreadable_manifest(sweep_env, tmp_path,
     assert "quarantined the unreadable manifest" in capsys.readouterr().err
     assert (tmp_path / "quarantine" / manifest.name).read_text() == "[]"
     assert SweepManifest.load(manifest).counts()["done"] == 3
+
+
+def test_resume_finishes_a_ledger_with_preempt_lineage(sweep_env, tmp_path,
+                                                       capsys):
+    """Ledgers written while points could be preempted mid-run carry
+    ``preempts`` and ``ckpt`` keys on their entries.  Such a ledger still
+    passes fsck, and ``--resume`` finishes every point in it."""
+    from repro.harness.campaign import load_campaign
+    from repro.harness.supervise import SweepManifest, fsck_manifests
+    path = write_campaign(tmp_path)
+    done, pending, failed = load_campaign(path).specs()
+    points = {}
+    for spec, status, preempts, ckpt in (
+            (done, "done", 1, "obs/ckpt/aa/a.ckpt.gz"),
+            (pending, "pending", 2, "obs/ckpt/bb/b.ckpt.gz"),
+            (failed, "failed", 1, None)):
+        points[spec.key()] = {
+            "spec": spec.to_dict(), "label": spec.label(),
+            "status": status, "attempts": 3 if status == "failed" else 0,
+            "error": None, "preempts": preempts, "ckpt": ckpt}
+    points[failed.key()]["error"] = {
+        "kind": "preempted", "error": "WorkerPreempted",
+        "message": "preempted at 1000 events", "permanent": False}
+    manifest = tmp_path / "m.manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "sweep": "campaign-cli",
+                                    "meta": {}, "points": points}))
+    report = fsck_manifests([manifest])
+    assert (report.ok, report.quarantined) == (1, [])
+    assert main(["campaign", "run", str(path), "--workers", "1", "--quiet",
+                 "--manifest", str(manifest), "--resume"]) == 0
+    assert "1 point(s) done, 1 failed point(s) re-queued" in \
+        capsys.readouterr().err
+    assert SweepManifest.load(manifest).counts() == {
+        "pending": 0, "done": 3, "failed": 0}
 
 
 def test_store_fsck_command(sweep_env, capsys):

@@ -3,11 +3,10 @@ and only a torn, bit-flipped or wrong-shape file is quarantined — a bug
 in a decoder propagates and moves nothing."""
 
 import os
-from types import SimpleNamespace
 
 import pytest
 
-from repro.harness import ExperimentSpec, ResultStore, preempt
+from repro.harness import ExperimentSpec, ResultStore
 from repro.harness.supervise import SweepManifest
 from repro.sim.stats import SimResult
 from repro.workloads.trace import Trace, TraceRecord
@@ -55,23 +54,13 @@ def manifest_writer(tmp_path, specs, results):
     return manifest.path, manifest.save, grow
 
 
-def savestate_writer(tmp_path, specs, results):
-    path = preempt.state_path(tmp_path / "ckpt", specs[0].key())
-    policy = preempt.CheckpointPolicy(path, specs[0].key(), "f" * 64)
-    policy.system = SimpleNamespace(
-        engine=SimpleNamespace(events_processed=1, now=1))
-
-    def advance():
-        policy.system.engine.events_processed += 1000
-        return preempt.save_state(policy)
-    return path, lambda: preempt.save_state(policy), advance
-
-
-@pytest.mark.parametrize("writer,degrades", [
-    (store_writer, False), (trace_writer, False),
-    (manifest_writer, False), (savestate_writer, True)])
+# The "-False" in each case id says the writer raises on a failed
+# rename rather than degrading to a silent no-op.
+@pytest.mark.parametrize(
+    "writer", [store_writer, trace_writer, manifest_writer],
+    ids=lambda writer: f"{writer.__name__}-False")
 def test_failed_rename_keeps_the_old_file_and_no_temp_file(
-        tmp_path, monkeypatch, specs, results, writer, degrades):
+        tmp_path, monkeypatch, specs, results, writer):
     path, write_old, write_new = writer(tmp_path, specs, results)
     write_old()
     before = path.read_bytes()
@@ -79,11 +68,8 @@ def test_failed_rename_keeps_the_old_file_and_no_temp_file(
     def full_disk(src, dst):
         raise OSError(28, "No space left on device")
     monkeypatch.setattr(os, "replace", full_disk)
-    if degrades:
-        assert write_new() is None          # save_state degrades
-    else:
-        with pytest.raises(OSError, match="No space"):
-            write_new()
+    with pytest.raises(OSError, match="No space"):
+        write_new()
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 

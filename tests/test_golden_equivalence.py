@@ -83,108 +83,6 @@ def test_result_is_bit_identical_with_observers_attached(path):
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
-def test_result_is_bit_identical_after_checkpoint_restore(path, tmp_path):
-    """A forced mid-run checkpoint + restore must be invisible: the
-    resumed second half produces the exact fixture bytes on every
-    fixture (the save-state contract)."""
-    from repro.harness import preempt
-
-    stored = json.loads(path.read_text())
-    spec = ExperimentSpec.from_dict(stored["spec"])
-    config = checkpointing(tmp_path, 2000)
-    preempt.clear_preempt()
-    preempt.request_preempt()
-    try:
-        with pytest.raises(preempt.PreemptedError):
-            spec.execute(config)
-        notes = {}
-        result = spec.execute(config, notes=notes)
-    finally:
-        preempt.clear_preempt()
-    assert notes.get("resumed", 0) > 0, "restore did not happen"
-    assert _canonical(result.to_dict()) == _canonical(stored["result"]), (
-        f"checkpoint/restore perturbed the simulation for {path.name}")
-
-
-def checkpointing(tmp_path, every):
-    """A run configuration saving state into ``tmp_path`` every
-    ``every`` events."""
-    from repro.harness.config import RunConfig
-    from repro.harness.preempt import CheckpointConfig
-    return RunConfig(checkpoint=CheckpointConfig(dir=str(tmp_path),
-                                                 every_events=every))
-
-
-def _preempted(spec, config):
-    """Execute ``spec`` with a preempt request pending and return the
-    :class:`~repro.harness.preempt.PreemptedError` (its save-state path
-    and event count)."""
-    from repro.harness import preempt
-
-    preempt.request_preempt()
-    with pytest.raises(preempt.PreemptedError) as excinfo:
-        spec.execute(config)
-    return excinfo.value
-
-
-@pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
-def test_result_is_bit_identical_after_restore_in_measured_region(
-        path, tmp_path):
-    """A cut after every core left warmup must be invisible too: the
-    save-state then carries the post-warmup statistics objects, each
-    core's measured-region start and partly filled PMC intervals."""
-    from repro.harness import preempt
-    from repro.harness.store import code_fingerprint
-    from repro.sim.savestate import decode_savestate
-
-    stored = json.loads(path.read_text())
-    spec = ExperimentSpec.from_dict(stored["spec"])
-    config = checkpointing(tmp_path, stored["result"]["events"] * 3 // 4)
-    preempt.clear_preempt()
-    try:
-        cut = _preempted(spec, config)
-        saved = decode_savestate(Path(cut.path).read_bytes(),
-                                 spec_key=spec.key(),
-                                 fingerprint=code_fingerprint())
-        assert all(core.warm for core in saved.cores)
-        assert not all(core.finished for core in saved.cores)
-        notes = {}
-        result = spec.execute(config, notes=notes)
-    finally:
-        preempt.clear_preempt()
-    assert notes.get("resumed") == cut.events
-    assert _canonical(result.to_dict()) == _canonical(stored["result"]), (
-        f"a measured-region restore perturbed the simulation for {path.name}")
-
-
-@pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
-def test_result_is_bit_identical_after_two_checkpoint_restores(
-        path, tmp_path):
-    """A resumed point can be preempted again: the restored checkpoint
-    policy keeps its countdown, the state it writes restores in turn,
-    and the twice-resumed run still produces the fixture bytes."""
-    from repro.harness import preempt
-
-    stored = json.loads(path.read_text())
-    spec = ExperimentSpec.from_dict(stored["spec"])
-    every = stored["result"]["events"] // 3
-    config = checkpointing(tmp_path, every)
-    preempt.clear_preempt()
-    try:
-        first = _preempted(spec, config)
-        second = _preempted(spec, config)   # resumes ``first``, then is cut
-        notes = {}
-        result = spec.execute(config, notes=notes)
-    finally:
-        preempt.clear_preempt()
-    assert (first.events, second.events) == (every, 2 * every)
-    assert notes.get("resumed") == second.events
-    assert _canonical(result.to_dict()) == _canonical(stored["result"]), (
-        f"a second checkpoint/restore perturbed the simulation for "
-        f"{path.name}")
-
-
-@pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
 def test_fixture_spec_key_is_pinned(path):
     stored = json.loads(path.read_text())
     key = ExperimentSpec.from_dict(stored["spec"]).key()

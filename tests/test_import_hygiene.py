@@ -127,7 +127,8 @@ ONE_POINT = textwrap.dedent("""
     build_system(spec.build_config(), traces, llc_policy=spec.policy,
                  prefetch=spec.prefetch, seed=spec.seed).run()
     sweep = ["repro.harness." + m for m in (
-        "campaign", "runner", "supervise", "turbo", "store", "cachesim")]
+        "campaign", "runner", "supervise", "turbo", "store", "cachesim",
+        "preempt")]
     generators = ["repro.workloads." + m for m in ("gap", "graphs", "serving")]
     print(",".join(m for m in sweep + generators + ["repro.checks.chaos"]
                    if m in sys.modules))

@@ -7,9 +7,7 @@ inclusion hole), then runs a full sanitizer sweep and asserts the *right*
 invariant trips — ``SanitizerError.rule`` carries the ID.  A healthy
 mid-flight system must sweep clean, and a sanitized end-to-end run must
 produce a byte-identical result to an unsanitized one (the sanitizer
-observes, never perturbs).  Every scenario also runs on a machine
-restored from a save-state, which must come back with consistent
-indexes and with the sanitizer walking the restored components.
+observes, never perturbs).
 """
 
 from dataclasses import replace
@@ -24,23 +22,16 @@ from repro.checks.sanitize import (ALL_INVARIANTS, SAN_INCL, SAN_MSHR,
 from repro.sim import System, SystemConfig
 from repro.sim.mshr import MSHREntry
 from repro.sim.request import AccessType, MemRequest
-from repro.sim.savestate import decode_savestate, encode_savestate
 
 
-@pytest.fixture(params=["fresh", "restored"])
+@pytest.fixture(params=["fresh"])
 def machine(request):
-    """Every fault-injection scenario must also trip on a restored machine."""
+    """The machine each scenario runs on: one built in the test.  The
+    parameter keeps the scenario ids in their ``[fresh]`` form."""
     return request.param
 
 
-def round_trip(system):
-    """``system`` after an encode/decode save-state round trip."""
-    blob = encode_savestate(system, spec_key="k", fingerprint="f")
-    return decode_savestate(blob, spec_key="k", fingerprint="f")
-
-
-def partial_system(small_trace, machine="fresh", inclusive=False,
-                   max_events=4000):
+def partial_system(small_trace, inclusive=False, max_events=4000):
     """A system stopped mid-flight with real traffic in every structure."""
     cfg = SystemConfig.tiny(1)
     if inclusive:
@@ -51,7 +42,7 @@ def partial_system(small_trace, machine="fresh", inclusive=False,
         core.start()
     system.engine.run(max_events=max_events)
     assert system.engine.events_processed == max_events
-    return round_trip(system) if machine == "restored" else system
+    return system
 
 
 def expect_trip(system, rule):
@@ -65,7 +56,7 @@ def expect_trip(system, rule):
 # Baseline: a healthy mid-flight system sweeps clean
 # ----------------------------------------------------------------------
 def test_healthy_system_passes_all_invariants(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     san = Sanitizer(system)
     san.check()
     assert san.checks_run == 1
@@ -83,7 +74,7 @@ def _schedule_in_the_past(engine):
 
 
 def test_event_scheduled_in_the_past_trips_san_time(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     engine = system.engine
     assert engine.now > 1
     _schedule_in_the_past(engine)
@@ -91,7 +82,7 @@ def test_event_scheduled_in_the_past_trips_san_time(small_trace, machine):
 
 
 def test_backwards_engine_time_trips_san_time(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     san = Sanitizer(system)
     san.check()                      # records _last_now
     system.engine.now -= 2           # a bug rewinds the clock
@@ -111,7 +102,7 @@ def _populated_set(cache):
 
 
 def test_corrupt_tag_index_mapping_trips_san_tag(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     llc = system.llc
     set_idx = _populated_set(llc)
     tag, way = next(iter(llc._tag2way[set_idx].items()))
@@ -120,7 +111,7 @@ def test_corrupt_tag_index_mapping_trips_san_tag(small_trace, machine):
 
 
 def test_corrupt_valid_count_trips_san_tag(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     llc = system.llc
     set_idx = _populated_set(llc)
     llc._valid_count[set_idx] += 1
@@ -137,7 +128,7 @@ def _fake_entry(system, issue_time, block=0x7FFF00):
 
 
 def test_leaked_mshr_entry_trips_san_mshr(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     now = system.engine.now
     san = Sanitizer(system)
     stale = _fake_entry(system, issue_time=now - san.mshr_age_limit - 1)
@@ -149,7 +140,7 @@ def test_leaked_mshr_entry_trips_san_mshr(small_trace, machine):
 
 
 def test_misfiled_mshr_entry_trips_san_mshr(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block + 1] = entry   # wrong key
     expect_trip(system, SAN_MSHR)
@@ -159,7 +150,7 @@ def test_misfiled_mshr_entry_trips_san_mshr(small_trace, machine):
 # SAN-WAITER — lost / foreign / double-responded waiters
 # ----------------------------------------------------------------------
 def test_lost_waiters_trip_san_waiter(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block] = entry
     entry.waiters.clear()            # fill path dropped everyone
@@ -167,7 +158,7 @@ def test_lost_waiters_trip_san_waiter(small_trace, machine):
 
 
 def test_double_responded_waiter_trips_san_waiter(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     entry = _fake_entry(system, issue_time=system.engine.now)
     system.llc.mshr._entries[entry.block] = entry
     entry.waiters[0].completed = system.engine.now - 1   # already answered
@@ -178,14 +169,14 @@ def test_double_responded_waiter_trips_san_waiter(small_trace, machine):
 # SAN-PMC — per-core cycle conservation
 # ----------------------------------------------------------------------
 def test_overaccounted_pure_miss_cycles_trip_san_pmc(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     mon = system.monitor._cores[0]
     mon.stats.pure_miss_cycles = float(system.engine.now + 10_000)
     expect_trip(system, SAN_PMC)
 
 
 def test_histogram_mass_mismatch_trips_san_pmc(small_trace, machine):
-    system = partial_system(small_trace, machine)
+    system = partial_system(small_trace)
     mon = system.monitor._cores[0]
     assert mon.stats.misses > 0
     mon.stats.misses += 3            # misses counted but never binned
@@ -210,7 +201,7 @@ def _raw_install(cache, set_idx, tag):
 
 
 def test_inclusion_hole_trips_san_incl(small_trace, machine):
-    system = partial_system(small_trace, machine, inclusive=True)
+    system = partial_system(small_trace, inclusive=True)
     l1 = system.l1s[0]
     # Hand-install a block in L1 that the LLC has never seen, updating the
     # tag index and valid count consistently so only inclusion is violated.
@@ -230,11 +221,6 @@ def test_installed_watcher_detects_mid_run_corruption(small_trace, machine):
     system.sanitizer = attach_sanitizer(system, interval=256)
     for core in system.cores:
         core.start()
-    if machine == "restored":
-        # Cut at a watcher boundary; the installed sanitizer travels
-        # inside the save-state and must watch the restored components.
-        system.engine.run(max_events=1024)
-        system = round_trip(system)
     san = system.sanitizer
     engine = system.engine
 
@@ -268,22 +254,10 @@ def test_sanitized_run_is_byte_identical(small_trace, machine):
                    warmup_records=0, sanitize=False).run()
     sanitized_system = System(cfg, [small_trace.records], llc_policy="lru",
                               warmup_records=0, sanitize=True)
-    if machine == "fresh":
-        sanitized = sanitized_system.run()
-    else:
-        # run()'s set-up, a cut at the first sweep, then resume()
-        san = attach_sanitizer(sanitized_system)
-        sanitized_system.sanitizer = san
-        for core in sanitized_system.cores:
-            core.start()
-        sanitized_system.engine.run(max_events=san.interval)
-        assert san.checks_run == 1
-        sanitized_system = round_trip(sanitized_system)
-        sanitized = sanitized_system.resume()
+    sanitized = sanitized_system.run()
     san = sanitized_system.sanitizer
     assert san is not None
-    # one sweep per elapsed interval plus the final one: a restored
-    # sanitizer keeps its countdown phase
+    # one sweep per elapsed interval plus the final one
     assert san.checks_run == sanitized.events // san.interval + 1
     assert sanitized.to_json() == plain.to_json()
     # run() uninstalls on the way out, enabled or not

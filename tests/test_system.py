@@ -201,12 +201,6 @@ def _cyclic_garbage(run_point):
     return garbage
 
 
-def _checkpoint(tmp_path):
-    from repro.harness.preempt import CheckpointPolicy
-    return CheckpointPolicy(tmp_path / "point.ckpt.gz", spec_key="k",
-                            fingerprint="f", every_events=3000)
-
-
 LEAK_CASES = {
     **{f"{policy}-{scheduler}": (lambda tmp, p=policy, s=scheduler:
                                  {"policy": p, "scheduler": s})
@@ -216,7 +210,6 @@ LEAK_CASES = {
     "care-observed": lambda tmp: {"obs": ObsConfig(
         metrics_interval=2000, trace=True, trace_sample=4,
         out_dir=str(tmp))},
-    "care-checkpointed": lambda tmp: {"checkpoint": _checkpoint(tmp)},
 }
 
 
@@ -233,22 +226,6 @@ def test_finished_system_leaves_no_cyclic_garbage(bfs_traces2, tmp_path,
         assert len(list(tmp_path.glob("run.*.json"))) == 2
 
 
-def test_resumed_system_leaves_no_cyclic_garbage(bfs_traces2, tmp_path):
-    from repro.harness.preempt import try_restore
-    policy = _checkpoint(tmp_path)
-    expected = _bfs_system(bfs_traces2, checkpoint=policy).run().to_json()
-    assert policy.saves > 0
-
-    def run_point():
-        system, note = try_restore(policy.path, spec_key="k",
-                                   fingerprint="f")
-        assert note is None and system.engine.events_processed > 0
-        assert system.resume().to_json() == expected
-        return weakref.ref(system.monitor)
-
-    assert _cyclic_garbage(run_point) == {}
-
-
 def test_result_stays_readable_after_the_release(bfs_traces2):
     system = _bfs_system(bfs_traces2, policy="care")
     result = system.run()
@@ -263,5 +240,3 @@ def test_second_run_or_resume_raises(tiny_cfg):
     system.run()
     with pytest.raises(RuntimeError, match="build a new System"):
         system.run()
-    with pytest.raises(RuntimeError, match="build a new System"):
-        system.resume()
