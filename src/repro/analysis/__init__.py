@@ -28,7 +28,6 @@ from .hwcost import (
     framework_costs,
 )
 from .reporting import banner, format_bars, format_table
-from .statistics import RunStatistics, separable, summarize, summarize_sweep
 
 __all__ = [
     "geometric_mean", "normalized_ipc", "normalized_weighted_ipc",
@@ -39,5 +38,4 @@ __all__ = [
     "PAPER_TABLE6_KB", "CostItem", "CostReport", "care_concurrency_kb",
     "care_cost", "framework_costs",
     "banner", "format_bars", "format_table",
-    "RunStatistics", "separable", "summarize", "summarize_sweep",
 ]

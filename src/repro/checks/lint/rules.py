@@ -224,14 +224,9 @@ HOT_PATH_MANIFEST: FrozenSet[str] = frozenset({
     "repro.sim.cpu.Core._complete_cb",
     "repro.sim.cpu.Core._retire",
     "repro.sim.dram.DRAM.access",
-    "repro.sim.dram.DRAM._route",
-    "repro.sim.memctrl.FRFCFSController.access",
-    "repro.sim.memctrl.FRFCFSController._issue",
-    "repro.sim.memctrl.FRFCFSController._route",
-    "repro.sim.memctrl.FRFCFSController._select",
-    "repro.sim.memctrl.FRFCFSController._update_drain_state",
-    "repro.sim.memctrl.FRFCFSController._start",
-    "repro.sim.memctrl.FRFCFSController._complete",
+    "repro.sim.dram.DRAM._select",
+    "repro.sim.dram.DRAM._issue",
+    "repro.sim.dram.DRAM._complete",
     "repro.sim.mshr.MSHREntry.merge",
     "repro.sim.mshr.MSHR.merge",
     "repro.sim.request.MemRequest.respond",

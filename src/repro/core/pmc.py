@@ -224,6 +224,8 @@ class ConcurrencyMonitor:
         self.n_cores = n_cores
         self._cores = [_CoreMonitor(c, collect_deltas) for c in range(n_cores)]
         self._post = engine.post
+        #: cycle of the warmup boundary (:meth:`reset_stats`)
+        self._measure_start = 0
         #: ``None`` once :meth:`release` ran
         self._base_end_cb: Any = self._base_end
 
@@ -272,11 +274,16 @@ class ConcurrencyMonitor:
         mon.misses.add(entry)
 
     def on_miss_end(self, core: int, time: int, entry: MSHREntry) -> None:
-        """The fill for ``entry`` arrived; its PMC value is now final."""
+        """The fill for ``entry`` arrived; its PMC value is now final.
+
+        A miss issued before the warmup boundary is not counted in the
+        measured region's statistics (its PMC still reaches the policy).
+        """
         mon = self._cores[core]
         mon.accrue(time)
         mon.misses.discard(entry)
-        mon.finish_miss(entry)
+        if entry.issue_time >= self._measure_start:
+            mon.finish_miss(entry)
 
     # ------------------------------------------------------------------
     # Results
@@ -290,10 +297,13 @@ class ConcurrencyMonitor:
         """Zero the aggregates at the warmup boundary.
 
         Outstanding base/miss state is preserved (those accesses are still
-        in flight); only the counters restart, so measured-region statistics
-        exclude cold-start effects — mirroring the paper's 50M-instruction
-        warmup before its 200M-instruction measurement.
+        in flight and keep accruing PMC); only the counters restart, and a
+        miss issued before this cycle is not counted when it completes, so
+        measured-region statistics exclude cold-start effects — mirroring
+        the paper's 50M-instruction warmup before its 200M-instruction
+        measurement.
         """
+        self._measure_start = self.engine.now
         for mon in self._cores:
             mon.accrue(self.engine.now)
             mon.stats = CoreConcurrencyStats()

@@ -69,9 +69,6 @@ class DRAMConfig:
     t_rcd: int = 60                 # row activate
     t_rp: int = 60                  # precharge
     burst_cycles: int = 13          # data transfer occupancy per 64B block
-    #: "fcfs" = per-bank in-order (repro.sim.dram.DRAM);
-    #: "frfcfs" = queued row-hit-first controller (repro.sim.memctrl)
-    scheduler: str = "fcfs"
 
     @property
     def row_hit_latency(self) -> int:
@@ -154,11 +151,12 @@ class SystemConfig:
 
         Table VII's shape is preserved — 3 levels, private L1/L2, shared
         16-way LLC scaled per core, same latencies and L1:L2:LLC capacity
-        ordering — at roughly 1/64 capacity, so the short traces Python can
-        afford produce the same *turnover* (accesses per LLC block) that
-        200M-instruction SimPoints produce on a 2MB/core LLC.  Workload
-        generators size their regions relative to this machine via their
-        ``scale`` parameter.
+        ordering — at roughly 1/64 capacity.  The LLC's turnover is not:
+        a 6,000-record measured region fills each LLC block 0.2–1.9 times
+        (4 cores, LRU, measured on the former FCFS memory model), where a
+        200M-instruction SimPoint fills one about 8–170 times (DESIGN.md
+        §4, substitution 4).  Workload generators size their regions
+        relative to this machine via their ``scale`` parameter.
         """
         channels = 1 if n_cores == 1 else 2
         return cls(

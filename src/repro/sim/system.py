@@ -19,6 +19,7 @@ from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
 from .cache import Cache
 from .config import SystemConfig
 from .cpu import Core
+from .dram import DRAM
 from .engine import Engine
 from .stats import SimResult
 from ..core.pmc import ConcurrencyMonitor
@@ -76,8 +77,7 @@ class System:
         self.engine = Engine()
 
         # Memory side ------------------------------------------------------
-        from .memctrl import make_memory
-        self.dram = make_memory(cfg.dram, self.engine)
+        self.dram = DRAM(cfg.dram, self.engine)
 
         # Shared LLC with the PML attached ----------------------------------
         llc_cfg = cfg.llc

@@ -1,10 +1,7 @@
 """Cache model: hits, misses, merging, back-pressure, writebacks, fills."""
 
-import pytest
-
 from repro.policies.lru import LRUPolicy
-from repro.sim import AccessType, Cache, CacheConfig, DRAMConfig, Engine, MemRequest
-from repro.sim.dram import DRAM
+from repro.sim import AccessType, Cache, CacheConfig, Engine, MemRequest
 
 
 def make_cache(sets=4, ways=2, latency=2, mshr=2, engine=None, lower=None):

@@ -7,9 +7,9 @@ import json
 
 import pytest
 
-from repro.harness.campaign import (CAMPAIGN_SCHEMA, Campaign, CampaignError,
-                                    CampaignGrid, apply_slice,
-                                    available_campaigns, build_campaign_report,
+from repro.harness.campaign import (CAMPAIGN_SCHEMA, CampaignError,
+                                    apply_slice, available_campaigns,
+                                    build_campaign_report,
                                     campaign_status, find_campaign,
                                     load_campaign, parse_campaign,
                                     render_campaign_markdown,

@@ -1,12 +1,8 @@
 """CARE policy behavior: Table IV insertion/promotion, victim selection,
 SHT training, prefetch and writeback handling, M-CARE's cost signal."""
 
-import pytest
-
 from repro.core.care import CAREPolicy, EPV_MAX
-from repro.core.dtrm import DTRM
 from repro.core.mcare import MCAREPolicy
-from repro.core.sht import CostClass, ReuseClass
 from repro.core.signatures import pc_signature
 from repro.policies.base import PolicyAccess
 from repro.sim.request import AccessType

@@ -1,7 +1,5 @@
 """DRAM timing model: row-buffer behavior, bank/channel serialization."""
 
-import pytest
-
 from repro.sim import AccessType, DRAMConfig, Engine, MemRequest
 from repro.sim.dram import DRAM
 
@@ -101,3 +99,18 @@ def test_mean_read_latency_accumulates():
     eng.run()
     assert dram.stats.reads == 4
     assert dram.stats.mean_read_latency > 0
+
+
+def test_idle_bank_read_is_not_queued_behind_a_busy_bank():
+    """Three reads to bank 0 in different rows, then one to idle bank 1,
+    all at cycle 0: the bank-1 read waits at most for one data burst."""
+    eng, dram = make_dram(channels=1, banks=2)
+    times = {}
+    for name, addr in (("a", 0x0), ("b", 0x1000), ("c", 0x2000),
+                       ("idle", 0x40)):
+        dram.access(_read(addr, lambda r, t, n=name: times.setdefault(n, t)))
+    eng.run()
+    cfg = dram.cfg
+    unloaded = cfg.t_rcd + cfg.t_cas + cfg.burst_cycles
+    assert times["idle"] <= unloaded + cfg.burst_cycles
+    assert times["c"] > times["b"] > times["a"]

@@ -2,19 +2,15 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.policies.lru import LRUPolicy
 from repro.sim import (
     AccessType,
     Cache,
     CacheConfig,
     Engine,
-    MemRequest,
     SystemConfig,
     System,
 )
-from tests.conftest import build_trace
 from tests.test_cache import _PerfectLower, _load
 
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.sim import AccessType, DRAMConfig, Engine, MemRequest, SystemConfig
-from repro.sim.memctrl import FRFCFSController, make_memory
+from repro.sim.dram import DRAM
 
 
 def make_ctrl(banks=2, channels=1, read_queue=8, write_queue=8, **kw):
     eng = Engine()
     cfg = DRAMConfig(channels=channels, banks_per_channel=banks,
-                     row_size=1024, scheduler="frfcfs")
-    ctrl = FRFCFSController(cfg, eng, read_queue=read_queue,
-                            write_queue=write_queue, **kw)
+                     row_size=1024)
+    ctrl = DRAM(cfg, eng, read_queue=read_queue, write_queue=write_queue,
+                **kw)
     return eng, ctrl
 
 
@@ -22,16 +22,6 @@ def _read(addr, cb=None):
 
 def _write(addr):
     return MemRequest(addr=addr, pc=0, core=0, rtype=AccessType.WRITEBACK)
-
-
-def test_factory_honors_scheduler_field():
-    eng = Engine()
-    from repro.sim.dram import DRAM
-    assert isinstance(make_memory(DRAMConfig(scheduler="fcfs"), eng), DRAM)
-    assert isinstance(make_memory(DRAMConfig(scheduler="frfcfs"), eng),
-                      FRFCFSController)
-    with pytest.raises(ValueError):
-        make_memory(DRAMConfig(scheduler="nope"), eng)
 
 
 def test_single_read_latency_matches_simple_model():
@@ -107,36 +97,30 @@ def test_banks_operate_in_parallel():
 
 
 def test_full_system_runs_with_frfcfs(small_trace):
-    from dataclasses import replace
     from repro.sim import simulate
     cfg = SystemConfig.tiny(1)
-    cfg = replace(cfg, dram=replace(cfg.dram, scheduler="frfcfs"))
     res = simulate([small_trace.records], cfg=cfg, llc_policy="care")
     assert res.ipc[0] > 0
     assert res.dram.reads > 0
 
 
 def test_frfcfs_improves_row_hit_rate_on_interleaved_streams():
-    """Two interleaved streams to different rows: FR-FCFS batches row hits."""
+    """Two interleaved streams to different rows: FR-FCFS batches row
+    hits, so it beats serving the one bank in arrival order, where a
+    request hits only if it follows one to its own row."""
     import random
-    from dataclasses import replace
     rng = random.Random(1)
     reqs = []
     for i in range(120):
         row = rng.choice([0x0, 0x100000])
         reqs.append(row + (i % 16) * 64)
-
-    def run(scheduler):
-        eng = Engine()
-        cfg = DRAMConfig(channels=1, banks_per_channel=1, row_size=1024,
-                         scheduler=scheduler)
-        mem = make_memory(cfg, eng)
-        for addr in reqs:
-            mem.access(_read(addr))
-        eng.run()
-        return mem.stats.row_hit_rate
-
-    assert run("frfcfs") >= run("fcfs")
+    eng, ctrl = make_ctrl(banks=1, read_queue=32)
+    for addr in reqs:
+        ctrl.access(_read(addr))
+    eng.run()
+    rows = [addr // ctrl.cfg.row_size for addr in reqs]
+    arrival_order = sum(a == b for a, b in zip(rows, rows[1:])) / len(rows)
+    assert ctrl.stats.row_hit_rate > arrival_order
 
 
 def test_drain_parameter_validation():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pmc import CoreConcurrencyStats
-from repro.sim import AccessType, SystemConfig, simulate
+from repro.sim import AccessType, simulate
 from repro.sim.cache import CacheStats
 from repro.sim.stats import SimResult
 from tests.conftest import build_trace

@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness import ExperimentSpec, ResultStore
 from repro.harness.runner import clear_memo
-from repro.harness.store import reset_default_store, set_default_store
+from repro.harness.store import reset_default_store
 
 
 @pytest.fixture(autouse=True)

@@ -4,14 +4,12 @@ import collections
 import gc
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 
 from repro.obs.schema import ObsConfig
 from repro.sim import SystemConfig, System, simulate
 from repro.workloads import TraceRecord
-from tests.conftest import build_trace
 
 
 def test_single_core_run_completes(tiny_cfg, small_trace):
@@ -170,11 +168,10 @@ def bfs_traces2():
                             cache=None)
 
 
-def _bfs_system(traces, policy="care", scheduler="fcfs", **kw):
-    cfg = SystemConfig.default(2)
-    cfg = replace(cfg, dram=replace(cfg.dram, scheduler=scheduler))
-    return System(cfg, traces, llc_policy=policy, prefetch=True, seed=3,
-                  measure_records=300, warmup_records=300, **kw)
+def _bfs_system(traces, policy="care", **kw):
+    return System(SystemConfig.default(2), traces, llc_policy=policy,
+                  prefetch=True, seed=3, measure_records=300,
+                  warmup_records=300, **kw)
 
 
 def _cyclic_garbage(run_point):
@@ -202,10 +199,8 @@ def _cyclic_garbage(run_point):
 
 
 LEAK_CASES = {
-    **{f"{policy}-{scheduler}": (lambda tmp, p=policy, s=scheduler:
-                                 {"policy": p, "scheduler": s})
-       for policy in ("lru", "care", "hawkeye")
-       for scheduler in ("fcfs", "frfcfs")},
+    **{f"{policy}-frfcfs": (lambda tmp, p=policy: {"policy": p})
+       for policy in ("lru", "care", "hawkeye")},
     "care-sanitized": lambda tmp: {"sanitize": True},
     "care-observed": lambda tmp: {"obs": ObsConfig(
         metrics_interval=2000, trace=True, trace_sample=4,

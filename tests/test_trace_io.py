@@ -1,7 +1,6 @@
 """Trace persistence (native format) and the ChampSim importer."""
 
 import gzip
-import struct
 
 import pytest
 

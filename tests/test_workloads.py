@@ -4,13 +4,11 @@ import random
 
 import pytest
 
-from repro.sim.config import BLOCK_SIZE
 from repro.workloads import (
     FIG5_WORKLOADS,
     SPEC_BENCHMARKS,
     HotColdPattern,
     PointerChasePattern,
-    RandomPattern,
     ScanPattern,
     StreamPattern,
     StridePattern,
